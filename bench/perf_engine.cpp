@@ -5,7 +5,6 @@
 #include "model/model.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
-#include "sim/shard.hpp"
 #include "ucx/context.hpp"
 
 /// Real-time (wall-clock) performance of the simulator's hot paths with
@@ -158,37 +157,6 @@ void BM_EngineChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EngineChain)->Arg(16384);
-
-/// SMP-mode sharded engine driving the deterministic message storm at
-/// varying shard counts (Arg0 = shards; shards=1 is the classic
-/// single-threaded engine with zero coordination overhead, the baseline the
-/// multi-shard rows are compared against). Measured in wall-clock time
-/// (UseRealTime) because the work spreads across shard threads; on a
-/// single-core host the multi-shard rows show pure coordination overhead
-/// rather than speedup — see the methodology note in BENCH_engine.json.
-void BM_ShardedEngineStorm(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  const int pes = 8;
-  sim::StormConfig cfg;
-  cfg.walkers_per_pe = 4;
-  cfg.hops = 64;
-  const auto latency = [](int a, int b) {
-    return static_cast<sim::Duration>(50 + 7 * ((a * 13 + b * 31) % 6));
-  };
-  std::uint64_t deliveries = 0;
-  for (auto _ : state) {
-    sim::ShardPlan plan;
-    plan.shards = shards;
-    plan.num_pes = pes;
-    plan.lookahead = 50;  // == min latency, the tightest safe window
-    sim::ShardedEngine se(plan);
-    const sim::StormResult r = sim::runMessageStorm(se, cfg, latency);
-    deliveries = r.deliveries;
-    benchmark::DoNotOptimize(r.hash);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(deliveries));
-}
-BENCHMARK(BM_ShardedEngineStorm)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // --------------------------------------------------------------------------
 // Protocol-layer hot paths

@@ -63,12 +63,6 @@ struct MachineConfig {
   /// cuda_call_us + kernel_launch_us each (cudaGraphLaunch amortisation).
   double cuda_graph_launch_us = 2.5;
 
-  /// Number of OS-thread shards for SMP-mode simulation (1 = the classic
-  /// single-threaded engine). PEs map to shards in contiguous blocks
-  /// (sim::shardOfPe); System::shardPlan() derives the conservative-sync
-  /// lookahead from the machine's cross-shard link latencies.
-  int smp_shards = 1;
-
   /// Fault-injection schedule for the simulated network (off by default).
   /// Lives here so every benchmark/application path that builds a System
   /// from a MachineConfig can enable faults without extra plumbing.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/shard.hpp"
 
 namespace cux::hw {
 
@@ -241,28 +240,6 @@ sim::TimePoint Machine::ctrlTransfer(const Path& path, sim::TimePoint now,
          sim::transferTime(bytes, link->params().bandwidth_gbps);
   }
   return t;
-}
-
-sim::Duration Machine::pathLatency(const Path& path) {
-  sim::Duration d = 0;
-  for (const Link* link : path) d += sim::usec(link->params().latency_us);
-  return d;
-}
-
-sim::Duration Machine::minCrossShardLatency(int shards) {
-  const int pes = cfg_.numPes();
-  sim::Duration best = ~sim::Duration{0};
-  for (int a = 0; a < pes; ++a) {
-    for (int b = 0; b < pes; ++b) {
-      if (a == b) continue;
-      if (sim::shardOfPe(a, pes, shards) == sim::shardOfPe(b, pes, shards)) continue;
-      const sim::Duration host = pathLatency(hostToHostPath(a, b));
-      const sim::Duration dev = pathLatency(deviceToDevicePath(a, b));
-      best = std::min({best, host, dev});
-    }
-  }
-  if (best == ~sim::Duration{0} || best == 0) return 1;  // no cross-shard pairs
-  return best;
 }
 
 void Machine::attachUtil(UtilRecorder& u) {

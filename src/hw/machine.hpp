@@ -231,18 +231,6 @@ class Machine {
   /// the store-and-forward sum of serialised transfers.
   sim::TimePoint transfer(const Path& path, sim::TimePoint now, std::uint64_t bytes);
 
-  /// Sum of per-link latencies along a path (zero-byte traversal time).
-  [[nodiscard]] static sim::Duration pathLatency(const Path& path);
-
-  /// Conservative-sync lookahead for SMP sharding: the minimum virtual
-  /// latency of any communication path (host-to-host or device-to-device)
-  /// between two PEs mapped to different shards under the contiguous block
-  /// mapping (sim::shardOfPe). Any cross-shard message therefore takes at
-  /// least this long to arrive, which bounds how far shards may advance
-  /// between barriers. Returns at least 1 ns (also for shards <= 1, where
-  /// no pair crosses a shard boundary).
-  [[nodiscard]] sim::Duration minCrossShardLatency(int shards);
-
   /// Traversal time of a small control message (RTS/CTS/ATS headers) along
   /// `path`: latency plus serialisation, WITHOUT occupying the links. Control
   /// traffic is tens of bytes; reserving link occupancy for it — especially

@@ -16,7 +16,8 @@
 /// uses, so the schedule the projection predicts is exactly the schedule a
 /// subsequent commit produces. Routes come from Machine::deviceRoutes in a
 /// deterministic order, which makes the whole schedule a pure function of
-/// topology, occupancy, and chunk sizes — no randomness, shard-invariant.
+/// topology, occupancy, and chunk sizes — no randomness, so repeated runs
+/// route every chunk identically.
 
 namespace cux::hw {
 

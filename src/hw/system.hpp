@@ -9,7 +9,6 @@
 #include "hw/pool.hpp"
 #include "obs/observability.hpp"
 #include "sim/engine.hpp"
-#include "sim/shard.hpp"
 #include "sim/trace.hpp"
 
 /// \file system.hpp
@@ -71,19 +70,6 @@ struct System {
   void enableUtil(sim::Duration window_ns = 100'000) {
     util.enable(window_ns);
     machine.attachUtil(util);
-  }
-
-  /// SMP sharding parameters for this machine: config.smp_shards shards over
-  /// config.numPes() PEs, with the conservative-sync lookahead set to the
-  /// minimum cross-shard link latency (so a sim::ShardedEngine built from
-  /// this plan can never violate causality on this topology).
-  [[nodiscard]] sim::ShardPlan shardPlan() {
-    sim::ShardPlan p;
-    p.shards = config.smp_shards < 1 ? 1 : config.smp_shards;
-    p.num_pes = config.numPes();
-    if (p.shards > p.num_pes) p.shards = p.num_pes;
-    p.lookahead = machine.minCrossShardLatency(p.shards);
-    return p;
   }
 
   /// Snapshot/dump of every registered layer's stats (see obs::Observability).

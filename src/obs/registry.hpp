@@ -82,26 +82,6 @@ class Registry {
   [[nodiscard]] const std::vector<Scalar>& gauges() const noexcept { return gauges_; }
   [[nodiscard]] const std::vector<Hist>& histograms() const noexcept { return hists_; }
 
-  /// Deterministic cross-shard merge: folds `other`'s metrics into this
-  /// registry by name. Counters and histogram buckets/count/sum add;
-  /// gauges keep the maximum (every gauge in this codebase is a level or a
-  /// high-watermark, for which max is the meaningful whole-machine view).
-  /// Metrics unknown to this registry are interned on the fly. Merging the
-  /// per-shard registries in shard-index order yields the same result on
-  /// every run regardless of thread scheduling, because each shard's own
-  /// registry is deterministic.
-  void mergeFrom(const Registry& other) {
-    for (const Scalar& c : other.counters_) add(counter(c.name), c.value);
-    for (const Scalar& g : other.gauges_) setMax(gauge(g.name), g.value);
-    for (const Hist& h : other.hists_) {
-      const Id id = histogram(h.name);
-      Hist& mine = hists_[id];
-      for (std::size_t b = 0; b < kBuckets; ++b) mine.buckets[b] += h.buckets[b];
-      mine.count += h.count;
-      mine.sum += h.sum;
-    }
-  }
-
   /// Plain-text table (one `kind name value` line per metric; histograms get
   /// one line per non-empty bucket).
   void dumpText(std::ostream& os) const;

@@ -207,47 +207,6 @@ class SpanCollector {
     terminal_counts_ = {};
   }
 
-  /// Deterministic cross-shard merge.
-  ///
-  /// Retained x retained: appends `other`'s spans and events with span ids
-  /// rebased past this collector's (ids are dense and per-collector, so
-  /// rebasing by the current span count keeps them dense and
-  /// collision-free). Tag bindings are NOT carried over — merging is a
-  /// post-run operation and live tag correlation is meaningless across
-  /// engines. Merge the per-shard collectors in shard-index order for
-  /// run-to-run-identical ids.
-  ///
-  /// When either side streams, the windowed aggregates merge additively
-  /// (associative + commutative, so the result is shard-count invariant)
-  /// and the scalar counters sum; retired spans are gone by design and
-  /// cannot be appended.
-  void mergeFrom(const SpanCollector& other) {
-    if (streaming_ || other.streaming_) {
-      windows_.mergeFrom(other.windows_);
-      stream_begun_ += other.begun();
-    } else {
-      const std::uint64_t base = spans_.size();
-      spans_.reserve(spans_.size() + other.spans_.size());
-      events_.reserve(events_.size() + other.events_.size());
-      for (SpanInfo s : other.spans_) {
-        s.tag = 0;
-        spans_.push_back(s);
-      }
-      for (SpanEvent ev : other.events_) {
-        ev.span += base;
-        events_.push_back(ev);
-      }
-    }
-    open_ += other.open_;
-    closed_ += other.closed_;
-    double_closes_ += other.double_closes_;
-    retired_ += other.retired_;
-    dropped_events_ += other.dropped_events_;
-    if (other.open_hwm_ > open_hwm_) open_hwm_ = other.open_hwm_;
-    for (std::size_t i = 0; i < kPhaseCount; ++i)
-      terminal_counts_[i] += other.terminal_counts_[i];
-  }
-
  private:
   /// One live span in streaming mode; slots are recycled through
   /// free_slots_ with their event capacity kept, so the steady state

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 namespace cux::sim {
@@ -41,7 +40,6 @@ void Engine::popHeap() noexcept {
 EventId Engine::schedule(TimePoint t, Callback cb) {
   if (t < now_) {
     ++past_clamped_;
-    assert(!strict_past_ && "schedule() into the past with assertNoPastSchedule() enabled");
     t = now_;
   }
   const std::uint32_t slot = acquireSlot();
@@ -96,8 +94,8 @@ bool Engine::runUntil(TimePoint t) {
     // Skip tombstoned heads without advancing time past t.
     while (!heap_.empty() && stale(heap_.front())) popHeap();
     if (heap_.empty()) {
-      // Drained: the clock still advances to the window boundary so epoch
-      // loops read a consistent elapsed time whether or not events existed.
+      // Drained: the clock still advances to the window boundary so callers
+      // read a consistent elapsed time whether or not events existed.
       if (t > now_) now_ = t;
       return true;
     }
@@ -114,10 +112,5 @@ bool Engine::runUntil(TimePoint t) {
 }
 
 bool Engine::step() { return popAndRun(); }
-
-TimePoint Engine::nextEventTime() noexcept {
-  while (!heap_.empty() && stale(heap_.front())) popHeap();
-  return heap_.empty() ? kNoEvent : heap_.front().time;
-}
 
 }  // namespace cux::sim

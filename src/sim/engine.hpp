@@ -39,17 +39,11 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Sentinel returned by nextEventTime() when no live event is pending.
-  static constexpr TimePoint kNoEvent = ~TimePoint{0};
-
   /// Current virtual time.
   [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
   /// Schedules `cb` at absolute virtual time `t` (clamped to now()). A
-  /// past-time schedule increments pastClamped(); with
-  /// assertNoPastSchedule(true) it additionally asserts in debug builds —
-  /// the shard coordinator enables this to turn a conservative-lookahead
-  /// violation into a hard failure instead of a silently reordered event.
+  /// past-time schedule increments pastClamped().
   EventId schedule(TimePoint t, Callback cb);
 
   /// Schedules `cb` after `delay` nanoseconds of virtual time.
@@ -68,10 +62,10 @@ class Engine {
   /// Runs until virtual time would exceed `t`; remaining events stay queued.
   /// Returns true if no live events remain (drained). Clock contract: on a
   /// normal return — drained or first-future-event — now() == max(t, entry
-  /// now()), so callers stepping epochs read a consistent clock whether or
-  /// not events existed in the window; a runUntil(t) with t < now() leaves
-  /// the clock untouched (time never rewinds). When interrupted by stop(),
-  /// now() stays at the last processed event.
+  /// now()), so callers stepping in fixed windows read a consistent clock
+  /// whether or not events existed in the window; a runUntil(t) with
+  /// t < now() leaves the clock untouched (time never rewinds). When
+  /// interrupted by stop(), now() stays at the last processed event.
   bool runUntil(TimePoint t);
 
   /// Executes exactly one event if available; returns false on empty queue.
@@ -91,18 +85,10 @@ class Engine {
   [[nodiscard]] std::uint64_t eventsProcessed() const noexcept { return processed_; }
   [[nodiscard]] std::uint64_t eventsScheduled() const noexcept { return scheduled_; }
 
-  /// Timestamp of the earliest pending live event, or kNoEvent when empty().
-  /// Prunes cancelled tombstones from the heap head as a side effect.
-  [[nodiscard]] TimePoint nextEventTime() noexcept;
-
   /// Number of schedule() calls whose target time lay in the past and was
-  /// clamped to now(). Protocols that must never generate causality
-  /// violations (the sharded conservative sync) assert this stays zero.
+  /// clamped to now(). A nonzero count means some caller computed a
+  /// delivery time before the current instant.
   [[nodiscard]] std::uint64_t pastClamped() const noexcept { return past_clamped_; }
-
-  /// Debug aid: when on, a schedule() into the past asserts (debug builds)
-  /// instead of only counting + clamping.
-  void assertNoPastSchedule(bool on) noexcept { strict_past_ = on; }
 
  private:
   /// Heap entry: POD only, so priority-queue sifts move 24 bytes instead of
@@ -149,7 +135,6 @@ class Engine {
   std::uint64_t live_events_ = 0;
   std::uint64_t past_clamped_ = 0;
   bool stopped_ = false;
-  bool strict_past_ = false;
 };
 
 }  // namespace cux::sim

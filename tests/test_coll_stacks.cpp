@@ -12,14 +12,13 @@
 #include "coll/charm_section.hpp"
 #include "coll/coll.hpp"
 #include "model/model.hpp"
-#include "sim/shard.hpp"
 #include "ucx/context.hpp"
 
 /// Cross-stack collective tests: Charm++ array sections and Charm4py channel
 /// groups running the same pipelined algorithms as AMPI, bitwise agreement
 /// of the pipelined implementations with the Reference oracles, behaviour
-/// under 10% message loss, observability that never perturbs the schedule,
-/// and shard-count determinism of a ring-allreduce-shaped event pattern.
+/// under 10% message loss, and observability that never perturbs the
+/// schedule.
 
 namespace {
 
@@ -404,103 +403,6 @@ TEST(CollTraceHash, ObsSpansDoNotPerturbTheSchedule) {
   EXPECT_EQ(h_on_a, h_on_b) << "collective run is nondeterministic";
   EXPECT_GT(begun_a, 0u);
   EXPECT_EQ(begun_a, begun_b) << "span minting is nondeterministic";
-}
-
-// ---------------------------------------------------------------------------
-// Shard-count determinism of a ring-allreduce-shaped schedule. The full
-// stacks cannot run on sim::ShardedEngine (they share a System), so this
-// drives the collective's *event pattern* — per-(block, chunk) tokens doing
-// 2(n-1) neighbour hops with a modelled reduction delay at each hop —
-// through ShardedEngine::post and checks hashes across shard counts.
-// ---------------------------------------------------------------------------
-
-struct ChunkChainAcc {
-  std::uint64_t hash = 1469598103934665603ULL;
-  sim::TimePoint last = 0;
-
-  void record(sim::TimePoint t, int pe, int step) {
-    const auto mix = [this](std::uint64_t v) {
-      hash ^= v;
-      hash *= 1099511628211ULL;
-    };
-    mix(static_cast<std::uint64_t>(t));
-    mix((static_cast<std::uint64_t>(static_cast<std::uint32_t>(pe)) << 32) |
-        static_cast<std::uint32_t>(step));
-    if (t > last) last = t;
-  }
-};
-
-struct RingScheduleResult {
-  std::uint64_t hash = 0;
-  sim::TimePoint finish = 0;
-};
-
-RingScheduleResult runRingSchedule(int shards) {
-  constexpr int kPes = 12;
-  constexpr int kChunks = 4;
-  constexpr sim::Duration kLookahead = 50;
-  constexpr sim::Duration kWire = 60;  // per-hop link time, > lookahead
-
-  sim::ShardPlan plan;
-  plan.shards = shards;
-  plan.num_pes = kPes;
-  plan.lookahead = kLookahead;
-  sim::ShardedEngine se(plan);
-
-  // One token per (start block b, chunk c); each does 2(kPes-1) hops around
-  // the ring, paying a chunk-dependent "reduction kernel" delay at each hop
-  // during the reduce-scatter half — the shape allreduceRing produces.
-  struct Ctx {
-    sim::ShardedEngine* se;
-    // Tokens are independent chains: each writes only its own accumulator,
-    // so the FNV mix order is fixed no matter how shards interleave.
-    ChunkChainAcc acc[kPes * kChunks];
-
-    void hop(int token, int pe, int step) {
-      acc[token].record(se->engineOf(se->shardOfPe(pe)).now(), pe, step);
-      if (step >= 2 * (kPes - 1)) return;
-      const int dst = (pe + 1) % kPes;
-      const bool reducing = step < kPes - 1;
-      const sim::Duration kernel = reducing ? 25 + 7 * (token % kChunks) : 0;
-      const int shard = se->shardOfPe(pe);
-      const sim::TimePoint at = se->engineOf(shard).now() + kWire + kernel;
-      se->post(shard, dst, at, [this, token, dst, step] { hop(token, dst, step + 1); });
-    }
-  };
-  auto ctx = std::make_unique<Ctx>();
-  ctx->se = &se;
-  for (int b = 0; b < kPes; ++b) {
-    for (int c = 0; c < kChunks; ++c) {
-      const int token = b * kChunks + c;
-      // Chunks of one block launch staggered, as the pipeline does.
-      const auto t0 = static_cast<sim::TimePoint>(10 * c);
-      se.scheduleOnPe(b, t0, [&ctx2 = *ctx, token, b] { ctx2.hop(token, b, 0); });
-    }
-  }
-  se.run();
-
-  RingScheduleResult out;
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const ChunkChainAcc& a : ctx->acc) {
-    h ^= a.hash;
-    h *= 1099511628211ULL;
-    if (a.last > out.finish) out.finish = a.last;
-  }
-  out.hash = h;
-  return out;
-}
-
-TEST(CollShard, RingScheduleIsDeterministicAcrossShardCounts) {
-  const RingScheduleResult base = runRingSchedule(1);
-  EXPECT_GT(base.finish, 0);
-  for (const int shards : {2, 4}) {
-    const RingScheduleResult r = runRingSchedule(shards);
-    EXPECT_EQ(r.hash, base.hash) << "shards=" << shards;
-    EXPECT_EQ(r.finish, base.finish) << "shards=" << shards;
-  }
-  // And re-running the same shard count reproduces bit-identically.
-  const RingScheduleResult again = runRingSchedule(4);
-  EXPECT_EQ(again.hash, base.hash);
 }
 
 }  // namespace

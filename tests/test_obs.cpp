@@ -293,43 +293,6 @@ TEST(Spans, StreamingTagBindingWorksWhileOpen) {
   EXPECT_EQ(sc.span(s), nullptr) << "retired spans are gone by design";
 }
 
-TEST(Windows, MergeFromIsAdditiveAndDeterministic) {
-  const auto foldSpan = [](obs::WindowAggregator& agg, sim::TimePoint begin,
-                           sim::TimePoint end, std::uint64_t bytes) {
-    obs::SpanInfo info;
-    info.begin = begin;
-    info.end = end;
-    info.src_pe = 0;
-    info.dst_pe = 1;
-    info.bytes = bytes;
-    info.kind = "charm";
-    info.terminal = obs::Phase::Completed;
-    const obs::SpanEvent events[] = {
-        {1, begin, obs::Phase::ApiSend, 0, bytes},
-        {1, end, obs::Phase::Completed, 1, 0},
-    };
-    agg.fold(info, events, 2);
-  };
-
-  obs::WindowAggregator whole, part_a, part_b;
-  for (auto* agg : {&whole, &part_a, &part_b}) agg->configure({});
-  for (int i = 0; i < 6; ++i) {
-    const auto begin = static_cast<sim::TimePoint>(1000 + 500 * i);
-    foldSpan(whole, begin, begin + 300, 4096);
-    foldSpan(i % 2 == 0 ? part_a : part_b, begin, begin + 300, 4096);
-  }
-  obs::WindowAggregator merged;
-  merged.configure({});
-  merged.mergeFrom(part_a);
-  merged.mergeFrom(part_b);
-
-  std::ostringstream whole_os, merged_os;
-  whole.dumpJson(whole_os);
-  merged.dumpJson(merged_os);
-  EXPECT_EQ(merged_os.str(), whole_os.str())
-      << "partitioned folds must merge to the unpartitioned aggregate";
-}
-
 TEST(Windows, ExemplarsKeepTheSmallestSpans) {
   obs::WindowAggregator agg;
   agg.configure({100'000, /*exemplars_per_window=*/2});
@@ -653,84 +616,6 @@ TEST(ObsSystem, RegistrySnapshotRehomesLayerStats) {
   std::ostringstream os;
   sys.dumpStatsJson(os);
   EXPECT_NE(os.str().find("lrts.device_sends"), std::string::npos);
-}
-
-// --------------------------------------------------------------------------
-// Deterministic cross-shard merges (SMP mode)
-// --------------------------------------------------------------------------
-
-TEST(Registry, MergeFromAddsCountersMaxesGaugesSumsHistograms) {
-  obs::Registry a, b;
-  a.addCounter("sends", 3);
-  b.addCounter("sends", 4);
-  b.addCounter("only_in_b", 7);
-  a.setGauge("queue.hwm", 10);
-  b.setGauge("queue.hwm", 25);
-  a.observe(a.histogram("lat"), 4);   // bucket bit_width(4) = 3
-  b.observe(b.histogram("lat"), 5);   // same bucket
-  b.observe(b.histogram("lat"), 100);
-
-  a.mergeFrom(b);
-  EXPECT_EQ(a.counterValue("sends"), 7u);
-  EXPECT_EQ(a.counterValue("only_in_b"), 7u) << "unknown metrics intern on the fly";
-  EXPECT_EQ(a.gaugeValue("queue.hwm"), 25u) << "gauges merge as max (high-watermark)";
-  const auto& h = a.histograms();
-  ASSERT_EQ(h.size(), 1u);
-  EXPECT_EQ(h[0].count, 3u);
-  EXPECT_EQ(h[0].sum, 109u);
-  EXPECT_EQ(h[0].buckets[obs::Registry::bucketOf(4)], 2u);
-  EXPECT_EQ(h[0].buckets[obs::Registry::bucketOf(100)], 1u);
-}
-
-TEST(Registry, MergeInShardIndexOrderIsDeterministic) {
-  auto shard = [](std::uint64_t k) {
-    obs::Registry r;
-    r.addCounter("events", k);
-    r.setGauge("hwm", 10 * k);
-    return r;
-  };
-  auto merged = [&] {
-    obs::Registry total;
-    for (std::uint64_t s = 0; s < 4; ++s) total.mergeFrom(shard(s + 1));
-    std::ostringstream os;
-    total.dumpJson(os);
-    return os.str();
-  };
-  EXPECT_EQ(merged(), merged());
-}
-
-TEST(Spans, MergeFromRebasesIdsAndAccounting) {
-  obs::SpanCollector a, b;
-  a.enable(8);
-  b.enable(8);
-  const auto sa = a.begin(10, 0, 1, 256, "charm");
-  a.end(sa, 20, obs::Phase::Completed, 1);
-  const auto sb1 = b.begin(30, 2, 3, 512, "ampi");
-  b.phase(sb1, 35, obs::Phase::PayloadSent, 2);
-  const auto sb2 = b.begin(40, 3, 2, 64, "ampi");
-  b.end(sb2, 50, obs::Phase::Errored, 2);
-  b.bindTag(sb1, 0xBEEF);
-
-  a.mergeFrom(b);
-  EXPECT_EQ(a.begun(), 3u);
-  EXPECT_EQ(a.closed(), 2u);
-  EXPECT_EQ(a.openCount(), 1u);
-  // b's span ids rebase past a's: b's span 1 becomes a's span 2.
-  const obs::SpanInfo* moved = a.span(2);
-  ASSERT_NE(moved, nullptr);
-  EXPECT_EQ(moved->begin, 30u);
-  EXPECT_EQ(moved->bytes, 512u);
-  EXPECT_TRUE(moved->open);
-  EXPECT_EQ(moved->tag, 0u) << "tag bindings must not survive a merge";
-  EXPECT_EQ(a.spanForTag(0xBEEF), 0u);
-  // Events reference the rebased ids.
-  std::uint64_t max_span = 0;
-  for (const auto& ev : a.events()) max_span = std::max(max_span, ev.span);
-  EXPECT_EQ(max_span, 3u);
-  EXPECT_EQ(a.terminalCount(obs::Phase::Errored), 1u);
-  // The merged collector keeps working: new spans mint past the rebased ids.
-  const auto next = a.begin(60, 0, 1, 1, "charm");
-  EXPECT_EQ(next, 4u);
 }
 
 TEST(ObsSystem, ProviderDeregistrationSurvivesLayerTeardown) {

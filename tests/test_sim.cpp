@@ -164,9 +164,9 @@ TEST(Engine, StopInterruptsRun) {
 }
 
 TEST(Engine, RunUntilDrainedAdvancesClockToTarget) {
-  // Epoch loops (the shard coordinator) read now() as "time consumed": the
-  // drained path must advance the clock to the window boundary exactly like
-  // the future-event path does.
+  // Callers stepping in windows read now() as "time consumed": the drained
+  // path must advance the clock to the window boundary exactly like the
+  // future-event path does.
   sim::Engine e;
   e.schedule(10, [] {});
   EXPECT_TRUE(e.runUntil(100));
@@ -264,18 +264,6 @@ TEST(Engine, PastClampedCountsSilentClamps) {
   e.run();
   EXPECT_EQ(fired_at, 100u);
   EXPECT_EQ(e.pastClamped(), 1u);
-}
-
-TEST(Engine, NextEventTimeSkipsTombstones) {
-  sim::Engine e;
-  EXPECT_EQ(e.nextEventTime(), sim::Engine::kNoEvent);
-  auto a = e.schedule(10, [] {});
-  e.schedule(30, [] {});
-  EXPECT_EQ(e.nextEventTime(), 10u);
-  EXPECT_TRUE(e.cancel(a));
-  EXPECT_EQ(e.nextEventTime(), 30u);
-  e.run();
-  EXPECT_EQ(e.nextEventTime(), sim::Engine::kNoEvent);
 }
 
 TEST(Engine, ReentrantSchedulingFromCallback) {

@@ -14,12 +14,16 @@
 ///
 /// Output is CSV on stdout (one row per size / per node count / per rate).
 
-#include <chrono>
+#include <cassert>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,7 +44,6 @@
 #include "obs/report.hpp"
 #include "obs/sink.hpp"
 #include "sim/fault.hpp"
-#include "sim/shard.hpp"
 
 using namespace cux;
 
@@ -65,7 +68,6 @@ struct Args {
   double drop = 0.0;
   std::uint64_t fault_seed = 0x5eed;
   std::vector<double> drops{0.0, 0.01, 0.02, 0.05, 0.10};  // --metric loss sweep
-  int shards = 4;                                          // --metric shard sweeps 1..N
   coll::CollImpl impl = coll::CollImpl::Auto;              // --metric coll / train
   bool impl_set = false;
   int ranks = 8;  ///< collective members / training workers (--metric coll, train)
@@ -126,7 +128,7 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --metric latency|bandwidth|jacobi|loss|match|breakdown|shard|coll|train|failstop|"
+      "  --metric latency|bandwidth|jacobi|loss|match|breakdown|coll|train|failstop|"
       "multipath|profile\n"
       "                                      what to measure\n"
       "                                      (profile: critical-path attribution —\n"
@@ -164,10 +166,6 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "                                      anatomy — compute, bucket allreduce\n"
       "                                      union vs sum, overlap ratio; uses\n"
       "                                      --ranks, --steps, --impl)\n"
-      "                                      (shard: SMP-mode sharded event loop —\n"
-      "                                      wall-clock events/s and determinism\n"
-      "                                      check of the message storm at shard\n"
-      "                                      counts 1..--shards; uses --nodes)\n"
       "                                      (match: tag-matching engine occupancy\n"
       "                                      per stack — posted/unexpected\n"
       "                                      high-watermarks, bucket counts, longest\n"
@@ -184,7 +182,8 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "  --place intra|inter                 PE placement for micro-benchmarks\n"
       "  --nodes N                           simulated Summit nodes (default 2)\n"
       "  --sizes a,b,c                       message sizes in bytes (default: OSU sweep)\n"
-      "  --iters N --warmup N --window N     benchmark repetition knobs\n"
+      "  --iters N --warmup N --window N     benchmark repetition knobs (warmup >= 0,\n"
+      "                                      the others >= 1)\n"
       "  --grid X,Y,Z                        Jacobi global grid (default 1536^3)\n"
       "  --odf N                             Jacobi overdecomposition (charm only)\n"
       "  --no-gdrcopy                        simulate GDRCopy not being detected\n"
@@ -192,8 +191,6 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "  --fault-seed N                      fault injector seed (default 0x5eed)\n"
       "  --drops a,b,c                       drop rates in %% for --metric loss\n"
       "                                      (default 0,1,2,5,10)\n"
-      "  --shards N                          max shard count for --metric shard\n"
-      "                                      (default 4)\n"
       "  --impl auto|ring|tree|reference     collective algorithm (default: sweep\n"
       "                                      ring, tree, reference for coll; auto\n"
       "                                      for train)\n"
@@ -215,21 +212,38 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
   std::exit(2);
 }
 
-std::vector<std::size_t> parseSizes(const char* s) {
-  std::vector<std::size_t> out;
-  for (const char* p = s; *p != '\0';) {
-    char* end = nullptr;
-    out.push_back(std::strtoull(p, &end, 10));
-    p = *end == ',' ? end + 1 : end;
-  }
-  return out;
-}
-
 Args parse(int argc, char** argv) {
   Args a;
   auto need = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
+  };
+  // Option values come from outside the program: a malformed or
+  // out-of-range value is a usage error, never a silent default.
+  auto needInt = [&](int& i, int min) {
+    const char* s = need(i);
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(s, &end, 10);
+    if (end == s || *end != '\0' || errno == ERANGE || v < min ||
+        v > std::numeric_limits<int>::max()) {
+      usage(argv[0]);
+    }
+    return static_cast<int>(v);
+  };
+  // Comma-separated unsigned decimals: no empty element, sign or suffix.
+  auto needSizes = [&](int& i) {
+    std::vector<std::size_t> out;
+    for (const char* p = need(i);; ++p) {
+      if (std::isdigit(static_cast<unsigned char>(*p)) == 0) usage(argv[0]);
+      char* end = nullptr;
+      errno = 0;
+      out.push_back(std::strtoull(p, &end, 10));
+      if (errno == ERANGE) usage(argv[0]);
+      if (*end == '\0') return out;
+      if (*end != ',') usage(argv[0]);
+      p = end;
+    }
   };
   for (int i = 1; i < argc; ++i) {
     const std::string opt = argv[i];
@@ -257,22 +271,34 @@ Args parse(int argc, char** argv) {
       a.stream_obs = need(i);
     } else if (opt == "--mode") {
       const std::string v = need(i);
-      a.mode = v == "host" ? osu::Mode::HostStaging : osu::Mode::Device;
+      if (v == "device") {
+        a.mode = osu::Mode::Device;
+      } else if (v == "host") {
+        a.mode = osu::Mode::HostStaging;
+      } else {
+        usage(argv[0]);
+      }
     } else if (opt == "--place") {
       const std::string v = need(i);
-      a.place = v == "inter" ? osu::Placement::InterNode : osu::Placement::IntraNode;
+      if (v == "intra") {
+        a.place = osu::Placement::IntraNode;
+      } else if (v == "inter") {
+        a.place = osu::Placement::InterNode;
+      } else {
+        usage(argv[0]);
+      }
     } else if (opt == "--nodes") {
-      a.nodes = std::atoi(need(i));
+      a.nodes = needInt(i, 1);
     } else if (opt == "--sizes") {
-      a.sizes = parseSizes(need(i));
+      a.sizes = needSizes(i);
     } else if (opt == "--iters") {
-      a.iters = std::atoi(need(i));
+      a.iters = needInt(i, 1);
     } else if (opt == "--warmup") {
-      a.warmup = std::atoi(need(i));
+      a.warmup = needInt(i, 0);
     } else if (opt == "--window") {
-      a.window = std::atoi(need(i));
+      a.window = needInt(i, 1);
     } else if (opt == "--odf") {
-      a.odf = std::atoi(need(i));
+      a.odf = needInt(i, 1);
     } else if (opt == "--no-gdrcopy") {
       a.gdrcopy = false;
     } else if (opt == "--drop") {
@@ -282,24 +308,18 @@ Args parse(int argc, char** argv) {
       a.fault_seed = std::strtoull(need(i), nullptr, 0);
     } else if (opt == "--drops") {
       a.drops.clear();
-      for (std::size_t pct : parseSizes(need(i))) a.drops.push_back(static_cast<double>(pct) / 100.0);
-      if (a.drops.empty()) usage(argv[0]);
-    } else if (opt == "--shards") {
-      a.shards = std::atoi(need(i));
-      if (a.shards < 1) usage(argv[0]);
+      for (std::size_t pct : needSizes(i)) a.drops.push_back(static_cast<double>(pct) / 100.0);
     } else if (opt == "--impl") {
       const auto v = coll::parseImpl(need(i));
       if (!v) usage(argv[0]);
       a.impl = *v;
       a.impl_set = true;
     } else if (opt == "--ranks") {
-      a.ranks = std::atoi(need(i));
-      if (a.ranks < 1) usage(argv[0]);
+      a.ranks = needInt(i, 1);
     } else if (opt == "--steps") {
-      a.steps = std::atoi(need(i));
-      if (a.steps < 1) usage(argv[0]);
+      a.steps = needInt(i, 1);
     } else if (opt == "--grid") {
-      const auto v = parseSizes(need(i));
+      const auto v = needSizes(i);
       if (v.size() != 3) usage(argv[0]);
       a.grid = {static_cast<std::int64_t>(v[0]), static_cast<std::int64_t>(v[1]),
                 static_cast<std::int64_t>(v[2])};
@@ -309,6 +329,138 @@ Args parse(int argc, char** argv) {
   }
   return a;
 }
+
+// --------------------------------------------------------------------------
+// Row output: CSV or --json through one table-driven emitter
+// --------------------------------------------------------------------------
+
+/// How a column's cells print. Text is bare in CSV and quoted in JSON; Flag
+/// prints yes/NO in CSV and true/false in JSON; numbers print the same in
+/// both (FixedN: N decimals).
+enum class Fmt : std::uint8_t { Text, Flag, Int, Fixed1, Fixed3 };
+
+struct Column {
+  const char* name;
+  Fmt fmt;
+};
+
+/// A named list of rows: `key` names the list inside the JSON object.
+struct Table {
+  const char* key;
+  std::vector<Column> cols;
+};
+
+/// One row value; the column's Fmt decides how it prints.
+struct Cell {
+  enum class Kind : std::uint8_t { Text, Int, Real, Flag };
+  Cell(const char* v) : kind(Kind::Text), text(v) {}
+  Cell(std::string v) : kind(Kind::Text), text(std::move(v)) {}
+  template <std::integral I>
+    requires(!std::same_as<I, bool>)
+  Cell(I v) : kind(Kind::Int), count(static_cast<long long>(v)) {}
+  Cell(double v) : kind(Kind::Real), real(v) {}
+  Cell(bool v) : kind(Kind::Flag), flag(v) {}
+
+  Kind kind;
+  std::string text;
+  long long count = 0;
+  double real = 0.0;
+  bool flag = false;
+};
+
+/// Writes one metric's rows to stdout: a CSV header plus one line per row,
+/// or {"metric":M,"<key>":[{...},...]} with one flat JSON object per row.
+/// The header (or the JSON prefix) prints on construction, so output streams
+/// as the sweep runs. Metrics whose CSV and JSON rows share a shape pass one
+/// table and call row(); a metric whose shapes differ (multipath) passes
+/// both and calls csvRow()/jsonRow(), each a no-op in the other format.
+class RowEmitter {
+ public:
+  RowEmitter(bool json, const char* metric, Table table)
+      : RowEmitter(json, metric, table, table) {}
+
+  RowEmitter(bool json, const char* metric, Table csv, Table list)
+      : json_(json), csv_(std::move(csv)), list_(std::move(list)) {
+    if (json_) {
+      std::printf("{\"metric\":\"%s\",\"%s\":[", metric, list_.key);
+    } else {
+      const char* sep = "";
+      for (const Column& c : csv_.cols) {
+        std::printf("%s%s", sep, c.name);
+        sep = ",";
+      }
+      std::printf("\n");
+    }
+  }
+
+  template <class... T>
+  void row(const T&... cells) {
+    put(json_ ? list_ : csv_, {Cell(cells)...});
+  }
+  template <class... T>
+  void csvRow(const T&... cells) {
+    if (!json_) put(csv_, {Cell(cells)...});
+  }
+  template <class... T>
+  void jsonRow(const T&... cells) {
+    if (json_) put(list_, {Cell(cells)...});
+  }
+
+  /// JSON only: closes the current list and opens `next` beside it.
+  void nextList(Table next) {
+    if (!json_) return;
+    list_ = std::move(next);
+    std::printf("],\"%s\":[", list_.key);
+    rows_ = 0;
+  }
+
+  /// JSON only: closes the object; `tail` (e.g. `,"ok":true`) goes after
+  /// the last list.
+  void finish(const char* tail = "") const {
+    if (json_) std::printf("]%s}\n", tail);
+  }
+
+ private:
+  void put(const Table& t, const std::vector<Cell>& cells) {
+    assert(cells.size() == t.cols.size());
+    if (json_) std::printf("%s{", rows_ == 0 ? "" : ",");
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const Column& c = t.cols[i];
+      const Cell& v = cells[i];
+      if (json_) {
+        std::printf("%s\"%s\":", i == 0 ? "" : ",", c.name);
+      } else if (i > 0) {
+        std::printf(",");
+      }
+      switch (c.fmt) {
+        case Fmt::Text:
+          assert(v.kind == Cell::Kind::Text);
+          std::printf(json_ ? "\"%s\"" : "%s", v.text.c_str());
+          break;
+        case Fmt::Flag:
+          assert(v.kind == Cell::Kind::Flag);
+          std::printf("%s", json_ ? (v.flag ? "true" : "false") : (v.flag ? "yes" : "NO"));
+          break;
+        case Fmt::Int:
+          assert(v.kind == Cell::Kind::Int);
+          std::printf("%lld", v.count);
+          break;
+        case Fmt::Fixed1:
+        case Fmt::Fixed3:
+          assert(v.kind == Cell::Kind::Real);
+          std::printf("%.*f", c.fmt == Fmt::Fixed1 ? 1 : 3, v.real);
+          break;
+      }
+    }
+    std::printf(json_ ? "}" : "\n");
+    ++rows_;
+  }
+
+  bool json_;
+  Table csv_;
+  Table list_;  ///< the open JSON list
+  std::size_t rows_ = 0;
+};
 
 int runMicro(const Args& a) {
   osu::BenchConfig cfg;
@@ -328,18 +480,12 @@ int runMicro(const Args& a) {
   }
   const bool lat = a.metric == "latency";
   const auto pts = lat ? osu::runLatency(cfg) : osu::runBandwidth(cfg);
-  const char* value_key = lat ? "one_way_latency_us" : "bandwidth_MBps";
-  if (a.json) {
-    std::printf("{\"metric\":\"%s\",\"points\":[", a.metric.c_str());
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      std::printf("%s{\"size_bytes\":%zu,\"%s\":%.3f}", i == 0 ? "" : ",", pts[i].bytes,
-                  value_key, pts[i].value);
-    }
-    std::printf("]}\n");
-    return 0;
-  }
-  std::printf("size_bytes,%s\n", value_key);
-  for (const auto& p : pts) std::printf("%zu,%.3f\n", p.bytes, p.value);
+  RowEmitter out(a.json, a.metric.c_str(),
+                 {"points",
+                  {{"size_bytes", Fmt::Int},
+                   {lat ? "one_way_latency_us" : "bandwidth_MBps", Fmt::Fixed3}}});
+  for (const auto& p : pts) out.row(p.bytes, p.value);
+  out.finish();
   return 0;
 }
 
@@ -397,13 +543,15 @@ int runLoss(const Args& a) {
   cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
   const std::vector<std::size_t> sizes =
       a.sizes.empty() ? std::vector<std::size_t>{4096, 65536, 1048576} : a.sizes;
-  if (!a.json) {
-    std::printf(
-        "drop_percent,size_bytes,one_way_latency_us,retransmits,send_errors,fallbacks,"
-        "recv_reposts\n");
-  }
-  if (a.json) std::printf("{\"metric\":\"loss\",\"points\":[");
-  bool first = true;
+  RowEmitter out(a.json, "loss",
+                 {"points",
+                  {{"drop_percent", Fmt::Fixed1},
+                   {"size_bytes", Fmt::Int},
+                   {"one_way_latency_us", Fmt::Fixed3},
+                   {"retransmits", Fmt::Int},
+                   {"send_errors", Fmt::Int},
+                   {"fallbacks", Fmt::Int},
+                   {"recv_reposts", Fmt::Int}}});
   struct Recovery {
     std::uint64_t retransmits = 0;
     std::uint64_t send_errors = 0;
@@ -426,49 +574,17 @@ int runLoss(const Args& a) {
         g_stream.flush(sys);
       };
       const double lat = osu::latencyPoint(cfg, bytes);
-      if (a.json) {
-        std::printf("%s{\"drop_percent\":%.1f,\"size_bytes\":%zu,\"one_way_latency_us\":%.3f,"
-                    "\"retransmits\":%llu,\"send_errors\":%llu,\"fallbacks\":%llu,"
-                    "\"recv_reposts\":%llu}",
-                    first ? "" : ",", rate * 100.0, bytes, lat,
-                    static_cast<unsigned long long>(rc.retransmits),
-                    static_cast<unsigned long long>(rc.send_errors),
-                    static_cast<unsigned long long>(rc.fallbacks),
-                    static_cast<unsigned long long>(rc.recv_reposts));
-        first = false;
-      } else {
-        std::printf("%.1f,%zu,%.3f,%llu,%llu,%llu,%llu\n", rate * 100.0, bytes, lat,
-                    static_cast<unsigned long long>(rc.retransmits),
-                    static_cast<unsigned long long>(rc.send_errors),
-                    static_cast<unsigned long long>(rc.fallbacks),
-                    static_cast<unsigned long long>(rc.recv_reposts));
-      }
+      out.row(rate * 100.0, bytes, lat, rc.retransmits, rc.send_errors, rc.fallbacks,
+              rc.recv_reposts);
     }
   }
-  if (a.json) std::printf("]}\n");
+  out.finish();
   return 0;
 }
 
 // --------------------------------------------------------------------------
 // --metric match: tag-matching engine occupancy per stack
 // --------------------------------------------------------------------------
-
-void printMatchRow(const Args& a, bool first, const char* stack,
-                   const ucx::Worker::MatchStats& s) {
-  if (a.json) {
-    std::printf("%s{\"stack\":\"%s\",\"posted_hwm\":%zu,\"unexpected_hwm\":%zu,"
-                "\"posted\":%zu,\"unexpected\":%zu,\"posted_buckets\":%zu,"
-                "\"unexpected_buckets\":%zu,\"posted_max_chain\":%zu,"
-                "\"unexpected_max_chain\":%zu,\"scan_steps\":%llu}",
-                first ? "" : ",", stack, s.posted_hwm, s.unexpected_hwm, s.posted, s.unexpected,
-                s.posted_buckets, s.unexpected_buckets, s.posted_max_chain,
-                s.unexpected_max_chain, static_cast<unsigned long long>(s.scan_steps));
-    return;
-  }
-  std::printf("%s,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%llu\n", stack, s.posted_hwm, s.unexpected_hwm,
-              s.posted, s.unexpected, s.posted_buckets, s.unexpected_buckets, s.posted_max_chain,
-              s.unexpected_max_chain, static_cast<unsigned long long>(s.scan_steps));
-}
 
 /// Drives a window-deep burst workload through each stack's matching engine
 /// and reports occupancy: `--window` messages posted-first then `--window`
@@ -478,15 +594,24 @@ void printMatchRow(const Args& a, bool first, const char* stack,
 /// (DeviceComm), and the AMPI (src, tag, comm) queues.
 int runMatch(const Args& a) {
   const int nodes = a.nodes < 2 ? 2 : a.nodes;
-  const int window = a.window < 1 ? 1 : a.window;
-  const int iters = a.iters < 1 ? 1 : a.iters;
-  if (a.json) {
-    std::printf("{\"metric\":\"match\",\"rows\":[");
-  } else {
-    std::printf(
-        "stack,posted_hwm,unexpected_hwm,posted,unexpected,posted_buckets,"
-        "unexpected_buckets,posted_max_chain,unexpected_max_chain,scan_steps\n");
-  }
+  const int window = a.window;
+  const int iters = a.iters;
+  RowEmitter out(a.json, "match",
+                 {"rows",
+                  {{"stack", Fmt::Text},
+                   {"posted_hwm", Fmt::Int},
+                   {"unexpected_hwm", Fmt::Int},
+                   {"posted", Fmt::Int},
+                   {"unexpected", Fmt::Int},
+                   {"posted_buckets", Fmt::Int},
+                   {"unexpected_buckets", Fmt::Int},
+                   {"posted_max_chain", Fmt::Int},
+                   {"unexpected_max_chain", Fmt::Int},
+                   {"scan_steps", Fmt::Int}}});
+  const auto matchRow = [&out](const char* stack, const ucx::Worker::MatchStats& m) {
+    out.row(stack, m.posted_hwm, m.unexpected_hwm, m.posted, m.unexpected, m.posted_buckets,
+            m.unexpected_buckets, m.posted_max_chain, m.unexpected_max_chain, m.scan_steps);
+  };
 
   const auto tagOf = [](int it, int i) { return static_cast<ucx::Tag>(it * 100000 + i); };
 
@@ -512,7 +637,7 @@ int runMatch(const Args& a) {
       sys.engine.run();
     }
     g_stream.flush(sys);
-    printMatchRow(a, true, "ucx", ctx.matchStats());
+    matchRow("ucx", ctx.matchStats());
   }
 
   {  // Charm++ machine layer: GPU transfers whose metadata receives ride
@@ -539,7 +664,7 @@ int runMatch(const Args& a) {
       sys.engine.run();
     }
     g_stream.flush(sys);
-    printMatchRow(a, false, "charm", dev.matchStats());
+    matchRow("charm", dev.matchStats());
   }
 
   {  // AMPI: (src, tag, comm) matching over the bucketed rank queues
@@ -574,9 +699,9 @@ int runMatch(const Args& a) {
       return 1;
     }
     g_stream.flush(sys);
-    printMatchRow(a, false, "ampi", world.matchStats());
+    matchRow("ampi", world.matchStats());
   }
-  if (a.json) std::printf("]}\n");
+  out.finish();
   return 0;
 }
 
@@ -732,97 +857,6 @@ int runBreakdown(const Args& a) {
   return 0;
 }
 
-// --metric shard: SMP-mode sharded event loop — wall-clock throughput plus a
-// built-in determinism check (every shard count runs twice and the timeline
-// hashes must agree; a mismatch makes the tool exit nonzero, which is what
-// the CI smoke step relies on).
-int runShard(const Args& a) {
-  const int max_shards = a.shards;
-  if (a.json) std::printf("{\"metric\":\"shard\",\"points\":[");
-  if (!a.json)
-    std::printf("shards,deliveries,wall_ms,events_per_sec,epochs,cross_posts,hash,"
-                "deterministic\n");
-  bool first = true;
-  bool all_ok = true;
-  for (int shards = 1; shards <= max_shards; ++shards) {
-    // With --stream-obs, every delivery records a span into a per-shard
-    // streaming collector (no cross-thread sharing); the per-shard window
-    // aggregates merge additively after the run, so the emitted windows are
-    // shard-count invariant. The hook runs after the hash record and feeds
-    // nothing back, so the storm hash is unchanged.
-    auto once = [&](double* wall_ms, std::uint64_t* events,
-                    std::vector<obs::SpanCollector>* cols) {
-      model::Model m = model::summit(a.nodes < 2 ? 2 : a.nodes);
-      m.machine.smp_shards = shards;
-      hw::System sys(m.machine);
-      sim::ShardedEngine se(sys.shardPlan());
-      sim::StormConfig storm;
-      storm.walkers_per_pe = 4;
-      storm.hops = 64;
-      storm.seed = a.fault_seed;
-      if (cols != nullptr) {
-        cols->resize(static_cast<std::size_t>(se.shards()));
-        for (obs::SpanCollector& c : *cols) c.enableStreaming({}, nullptr);
-        storm.on_delivery = [cols](int shard, int pe, sim::TimePoint t, std::uint32_t walker,
-                                   int hops_left) {
-          obs::SpanCollector& c = (*cols)[static_cast<std::size_t>(shard)];
-          const std::uint64_t id =
-              c.begin(t, pe, pe, static_cast<std::uint64_t>(walker), "storm.hop");
-          c.phase(id, t, obs::Phase::MatchedPosted, pe, static_cast<std::uint64_t>(hops_left));
-          c.end(id, t, obs::Phase::Completed, pe);
-        };
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      const sim::StormResult r = sim::runMessageStorm(se, storm, [&sys](int x, int y) {
-        return sys.machine.pathLatency(sys.machine.hostToHostPath(x, y));
-      });
-      const auto t1 = std::chrono::steady_clock::now();
-      *wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-      *events = se.eventsProcessed();
-      return r;
-    };
-    double ms_a = 0.0, ms_b = 0.0;
-    std::uint64_t ev_a = 0, ev_b = 0;
-    std::vector<obs::SpanCollector> cols;
-    const sim::StormResult ra = once(&ms_a, &ev_a, g_stream.active() ? &cols : nullptr);
-    const sim::StormResult rb = once(&ms_b, &ev_b, nullptr);
-    if (g_stream.active() && !cols.empty()) {
-      // Merge the per-shard window aggregates in shard-index order and emit
-      // them; the merged windows are identical at every shard count.
-      obs::SpanCollector merged;
-      merged.enableStreaming({}, g_stream.jsonl.get());
-      for (const obs::SpanCollector& c : cols) merged.mergeFrom(c);
-      merged.flushWindows();
-    }
-    const bool ok = ra.hash == rb.hash && ra.deliveries == rb.deliveries &&
-                    ra.last_delivery == rb.last_delivery;
-    all_ok = all_ok && ok;
-    const double evps = ms_a > 0.0 ? static_cast<double>(ev_a) / (ms_a / 1e3) : 0.0;
-    if (a.json) {
-      std::printf("%s{\"shards\":%d,\"deliveries\":%llu,\"wall_ms\":%.3f,"
-                  "\"events_per_sec\":%.0f,\"epochs\":%llu,\"cross_posts\":%llu,"
-                  "\"hash\":\"%016llx\",\"deterministic\":%s}",
-                  first ? "" : ",", shards, static_cast<unsigned long long>(ra.deliveries),
-                  ms_a, evps, static_cast<unsigned long long>(ra.epochs),
-                  static_cast<unsigned long long>(ra.cross_posts),
-                  static_cast<unsigned long long>(ra.hash), ok ? "true" : "false");
-    } else {
-      std::printf("%d,%llu,%.3f,%.0f,%llu,%llu,%016llx,%s\n", shards,
-                  static_cast<unsigned long long>(ra.deliveries), ms_a, evps,
-                  static_cast<unsigned long long>(ra.epochs),
-                  static_cast<unsigned long long>(ra.cross_posts),
-                  static_cast<unsigned long long>(ra.hash), ok ? "yes" : "NO");
-    }
-    first = false;
-  }
-  if (a.json) std::printf("]}\n");
-  if (!all_ok) {
-    std::fprintf(stderr, "shard: DETERMINISM VIOLATION — repeated runs disagreed\n");
-    return 1;
-  }
-  return 0;
-}
-
 // --------------------------------------------------------------------------
 // --metric multipath: single-path vs multi-path device bandwidth
 // --------------------------------------------------------------------------
@@ -861,27 +895,30 @@ int runMultipath(const Args& a) {
   const int rail_counts[] = {1, 2, 4};
 
   bool ok = true;
-  if (!a.json) std::printf("scope,config,size_bytes,bandwidth_MBps,speedup\n");
-  if (a.json) std::printf("{\"metric\":\"multipath\",\"intra\":[");
-  bool first = true;
+  RowEmitter out(a.json, "multipath",
+                 {"", {{"scope", Fmt::Text},
+                       {"config", Fmt::Text},
+                       {"size_bytes", Fmt::Int},
+                       {"bandwidth_MBps", Fmt::Fixed1},
+                       {"speedup", Fmt::Fixed3}}},
+                 {"intra", {{"size_bytes", Fmt::Int},
+                            {"single_MBps", Fmt::Fixed1},
+                            {"multi_MBps", Fmt::Fixed1},
+                            {"speedup", Fmt::Fixed3}}});
   for (const std::size_t s : sizes) {
     const double single = point(osu::Placement::IntraNode, s, false, 1, 1);
     const double multi = point(osu::Placement::IntraNode, s, true, 2, 1);
     const double speedup = single > 0.0 ? multi / single : 0.0;
-    // Acceptance (ISSUE 9): >= 1.5x at >= 4 MiB with two usable NVLink routes.
+    // Acceptance bar: >= 1.5x at >= 4 MiB with two usable NVLink routes.
     if (s >= (4u << 20) && speedup < 1.5) ok = false;
-    if (a.json) {
-      std::printf("%s{\"size_bytes\":%zu,\"single_MBps\":%.1f,\"multi_MBps\":%.1f,"
-                  "\"speedup\":%.3f}",
-                  first ? "" : ",", s, single, multi, speedup);
-    } else {
-      std::printf("intra,single,%zu,%.1f,1.000\n", s, single);
-      std::printf("intra,multi_bricks2,%zu,%.1f,%.3f\n", s, multi, speedup);
-    }
-    first = false;
+    out.jsonRow(s, single, multi, speedup);
+    out.csvRow("intra", "single", s, single, 1.0);
+    out.csvRow("intra", "multi_bricks2", s, multi, speedup);
   }
-  if (a.json) std::printf("],\"inter\":[");
-  first = true;
+  out.nextList({"inter", {{"size_bytes", Fmt::Int},
+                          {"rails", Fmt::Int},
+                          {"bandwidth_MBps", Fmt::Fixed1},
+                          {"speedup", Fmt::Fixed3}}});
   for (const std::size_t s : sizes) {
     double rail_bw[3] = {0, 0, 0};
     for (int i = 0; i < 3; ++i)
@@ -893,17 +930,11 @@ int runMultipath(const Args& a) {
     }
     for (int i = 0; i < 3; ++i) {
       const double speedup = rail_bw[0] > 0.0 ? rail_bw[i] / rail_bw[0] : 0.0;
-      if (a.json) {
-        std::printf("%s{\"size_bytes\":%zu,\"rails\":%d,\"bandwidth_MBps\":%.1f,"
-                    "\"speedup\":%.3f}",
-                    first ? "" : ",", s, rail_counts[i], rail_bw[i], speedup);
-      } else {
-        std::printf("inter,rails%d,%zu,%.1f,%.3f\n", rail_counts[i], s, rail_bw[i], speedup);
-      }
-      first = false;
+      out.jsonRow(s, rail_counts[i], rail_bw[i], speedup);
+      out.csvRow("inter", "rails" + std::to_string(rail_counts[i]), s, rail_bw[i], speedup);
     }
   }
-  if (a.json) std::printf("],\"ok\":%s}\n", ok ? "true" : "false");
+  out.finish(ok ? ",\"ok\":true" : ",\"ok\":false");
   if (!ok) {
     std::fprintf(stderr,
                  "multipath: ACCEPTANCE FAILURE — intra-node speedup < 1.5x at >= 4 MiB "
@@ -1025,25 +1056,21 @@ int runColl(const Args& a) {
   const int warmup = 1;
   const int iters = std::min(a.iters, 10);
 
-  if (a.json) std::printf("{\"metric\":\"coll\",\"points\":[");
-  if (!a.json) std::printf("stack,impl,size_bytes,allreduce_us\n");
-  bool first = true;
+  RowEmitter out(a.json, "coll",
+                 {"points",
+                  {{"stack", Fmt::Text},
+                   {"impl", Fmt::Text},
+                   {"size_bytes", Fmt::Int},
+                   {"allreduce_us", Fmt::Fixed3}}});
   for (const osu::Stack stack : stacks) {
     for (const coll::CollImpl impl : impls) {
       for (const std::size_t bytes : sizes) {
-        const double us = collPoint(a, stack, impl, bytes, warmup, iters);
-        if (a.json) {
-          std::printf("%s{\"stack\":\"%s\",\"impl\":\"%s\",\"size_bytes\":%zu,"
-                      "\"allreduce_us\":%.3f}",
-                      first ? "" : ",", stackKey(stack), coll::name(impl), bytes, us);
-          first = false;
-        } else {
-          std::printf("%s,%s,%zu,%.3f\n", stackKey(stack), coll::name(impl), bytes, us);
-        }
+        out.row(stackKey(stack), coll::name(impl), bytes,
+                collPoint(a, stack, impl, bytes, warmup, iters));
       }
     }
   }
-  if (a.json) std::printf("]}\n");
+  out.finish();
   return 0;
 }
 
@@ -1158,12 +1185,16 @@ int runFailstop(const Args& a) {
   cfg.host_staged = a.mode == osu::Mode::HostStaging;
   if (g_stream.active()) cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
 
-  if (a.json) std::printf("{\"metric\":\"failstop\",\"points\":[");
-  if (!a.json) {
-    std::printf(
-        "stack,kill_at_us,restarts,completed_steps,hung_ranks,digest_match,verified,status\n");
-  }
-  bool first = true;
+  RowEmitter out(a.json, "failstop",
+                 {"points",
+                  {{"stack", Fmt::Text},
+                   {"kill_at_us", Fmt::Fixed1},
+                   {"restarts", Fmt::Int},
+                   {"completed_steps", Fmt::Int},
+                   {"hung_ranks", Fmt::Int},
+                   {"digest_match", Fmt::Flag},
+                   {"verified", Fmt::Flag},
+                   {"status", Fmt::Text}}});
   bool ok_all = true;
   for (const train::Stack stack : stacks) {
     const train::TrainResult base = train::runTrain(cfg, stack);
@@ -1179,21 +1210,10 @@ int runFailstop(const Args& a) {
                     rec.hung_ranks == 0 && rec.verified && rec.recovered && rec.restarts >= 1 &&
                     rec.completed_steps == cfg.steps && digest_match;
     ok_all = ok_all && ok;
-    if (a.json) {
-      std::printf("%s{\"stack\":\"%s\",\"kill_at_us\":%.1f,\"restarts\":%d,"
-                  "\"completed_steps\":%d,\"hung_ranks\":%d,\"digest_match\":%s,"
-                  "\"verified\":%s,\"status\":\"%s\"}",
-                  first ? "" : ",", trainKey(stack), fcfg.fault.kill_at_us, rec.restarts,
-                  rec.completed_steps, rec.hung_ranks, digest_match ? "true" : "false",
-                  rec.verified ? "true" : "false", ok ? "ok" : "FAIL");
-      first = false;
-    } else {
-      std::printf("%s,%.1f,%d,%d,%d,%s,%s,%s\n", trainKey(stack), fcfg.fault.kill_at_us,
-                  rec.restarts, rec.completed_steps, rec.hung_ranks,
-                  digest_match ? "yes" : "NO", rec.verified ? "yes" : "NO", ok ? "ok" : "FAIL");
-    }
+    out.row(trainKey(stack), fcfg.fault.kill_at_us, rec.restarts, rec.completed_steps,
+            rec.hung_ranks, digest_match, rec.verified, ok ? "ok" : "FAIL");
   }
-  if (a.json) std::printf("]}\n");
+  out.finish();
   if (!ok_all) {
     std::fprintf(stderr, "failstop: fail-stop recovery FAILED\n");
     return 1;
@@ -1428,7 +1448,6 @@ int main(int argc, char** argv) {
   if (a.metric == "loss") return runLoss(a);
   if (a.metric == "match") return runMatch(a);
   if (a.metric == "breakdown") return runBreakdown(a);
-  if (a.metric == "shard") return runShard(a);
   if (a.metric == "multipath") return runMultipath(a);
   if (a.metric == "coll") return runColl(a);
   if (a.metric == "train") return runTrainMetric(a);
