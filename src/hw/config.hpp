@@ -71,6 +71,11 @@ struct MachineConfig {
   /// Whether GpuDevice allocations get real host backing by default
   /// (backed = data integrity verified; unbacked = metadata-only, used by
   /// the large-scale figure benches to avoid multi-terabyte allocations).
+  /// App host-staging (-H) buffers follow the same rule through
+  /// cuda::HostStage, so an unbacked run moves no bytes at all. The OSU
+  /// benches are timing-only and always run unbacked: when their -H buffers
+  /// were real vectors, the rendezvous memcpy of never-read zeros was 81% of
+  /// the host samples of perfbench's osu_figs workload (gprof).
   bool backed_device_memory = true;
 
   [[nodiscard]] int numPes() const noexcept { return num_nodes * gpus_per_node; }

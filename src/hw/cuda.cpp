@@ -16,6 +16,22 @@ void* deviceAlloc(hw::System& sys, int device, std::size_t size, bool backed) {
 
 void deviceFree(hw::System& sys, void* p) { sys.memory.freeDevice(p); }
 
+void HostStage::init(hw::System& sys, std::size_t n, bool backed) {
+  assert(ptr_ == nullptr && "HostStage initialised twice");
+  sys_ = &sys;
+  if (n == 0) return;
+  if (backed) {
+    storage_.resize(n);
+    ptr_ = storage_.data();
+  } else {
+    ptr_ = sys.memory.allocHostUnbacked(n);
+  }
+}
+
+HostStage::~HostStage() {
+  if (ptr_ != nullptr && storage_.empty()) sys_->memory.freeDevice(ptr_);
+}
+
 MemcpyKind inferKind(hw::System& sys, const void* dst, const void* src) {
   const bool d_dev = sys.memory.isDevice(dst);
   const bool s_dev = sys.memory.isDevice(src);

@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "hw/system.hpp"
@@ -70,6 +71,30 @@ class DeviceBuffer {
   hw::System* sys_;
   void* ptr_;
   std::size_t size_;
+};
+
+/// Host staging buffer for the -H variants. It follows the device-backing
+/// rule: real host memory when backed, and an unbacked host-space region
+/// (MemoryRegistry::allocHostUnbacked) otherwise. The unbacked form
+/// classifies as host memory but holds no bytes, so timing-only runs copy
+/// nothing that is never read, and paper-scale footprints (1536 PEs x 12
+/// faces of ~19 MB) cost address space only. A zero-byte stage is nullptr.
+class HostStage {
+ public:
+  HostStage() = default;
+  void init(hw::System& sys, std::size_t n, bool backed);
+  ~HostStage();
+  /// Movable so per-rank state holding stages can live in a std::vector.
+  HostStage(HostStage&& o) noexcept
+      : sys_(o.sys_), ptr_(std::exchange(o.ptr_, nullptr)), storage_(std::move(o.storage_)) {}
+  HostStage& operator=(HostStage&&) = delete;
+
+  [[nodiscard]] void* get() const noexcept { return ptr_; }
+
+ private:
+  hw::System* sys_ = nullptr;
+  void* ptr_ = nullptr;
+  std::vector<std::byte> storage_;  ///< backed mode only
 };
 
 /// In-order execution stream bound to one GPU.

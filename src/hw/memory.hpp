@@ -42,9 +42,9 @@ class MemoryRegistry {
   void* allocDevice(int device, std::size_t size, bool backed);
 
   /// Allocates an *unbacked* host-space region: address space that classifies
-  /// as host memory but is never dereferenced. The large-scale benches use
-  /// this for host staging buffers whose paper-sized footprint (hundreds of
-  /// GB across 1536 simulated PEs) could not be physically allocated.
+  /// as host memory but is never dereferenced. cuda::HostStage uses this for
+  /// unbacked staging buffers, whose bytes nothing reads and whose paper-size
+  /// footprint (hundreds of GB over 1536 simulated PEs) would not fit in RAM.
   void* allocHostUnbacked(std::size_t size);
 
   /// Releases a pointer returned by allocDevice()/allocHostUnbacked().

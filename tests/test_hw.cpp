@@ -183,6 +183,38 @@ TEST(Memory, UnbackedHostRegions) {
   EXPECT_FALSE(sys.memory.isDevice(p));
   EXPECT_FALSE(sys.memory.dereferenceable(p));
   sys.memory.freeDevice(p);
+
+  // An unbacked cuda::HostStage is such a region, released on destruction.
+  const std::size_t before = sys.memory.liveAllocations();
+  {
+    cuda::HostStage stage;
+    stage.init(sys, 1u << 20, /*backed=*/false);
+    EXPECT_FALSE(sys.memory.isDevice(stage.get()));
+    EXPECT_EQ(sys.memory.deviceOf(stage.get()), -1);
+    EXPECT_FALSE(sys.memory.dereferenceable(stage.get()));
+    EXPECT_EQ(sys.memory.liveAllocations(), before + 1);
+  }
+  EXPECT_EQ(sys.memory.liveAllocations(), before);
+}
+
+TEST(Memory, BackedHostStageRoundTripsThroughDevice) {
+  hw::System sys(summitCfg(1));
+  const std::size_t n = 4096;
+  cuda::HostStage out, in;
+  out.init(sys, n, /*backed=*/true);
+  in.init(sys, n, /*backed=*/true);
+  ASSERT_TRUE(sys.memory.dereferenceable(out.get()));
+  EXPECT_FALSE(sys.memory.isDevice(out.get()));
+  EXPECT_EQ(sys.memory.liveAllocations(), 0u);  // ordinary host memory, not a region
+  sim::SplitMix64 rng(7);
+  rng.fill(out.get(), n);
+
+  cuda::DeviceBuffer dev(sys, 0, n, /*backed=*/true);
+  cuda::Stream s(sys, 0);
+  s.memcpyAsync(dev.get(), out.get(), n, cuda::MemcpyKind::HostToDevice);
+  s.memcpyAsync(in.get(), dev.get(), n, cuda::MemcpyKind::DeviceToHost);
+  sys.engine.run();
+  EXPECT_EQ(std::memcmp(in.get(), out.get(), n), 0);
 }
 
 TEST(Memory, ManyAllocationsTracked) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/osu/osu.hpp"
+#include "hw/system.hpp"
 
 namespace {
 
@@ -156,6 +157,48 @@ TEST(OsuBandwidth, Charm4pyBelowOthersButRising) {
   EXPECT_LT(pts[1].value / 1000.0, 45.0);
   EXPECT_GT(pts[1].value, pts[0].value);
 }
+
+// The OSU benches are timing-only, so their -H staging buffers follow the
+// device-backing rule (cuda::HostStage): each is an unbacked host-space region
+// in the registry, not real host memory that a 4 MiB rendezvous would memcpy.
+// Live regions after a bandwidth point are therefore the device buffers plus
+// the staging buffers; the -D point holds device buffers only.
+struct StagingParam {
+  Stack stack;
+  std::size_t device_bufs;
+  std::size_t staging_bufs;
+};
+class OsuStaging : public ::testing::TestWithParam<StagingParam> {};
+
+TEST_P(OsuStaging, HostStagingBuffersAreUnbackedRegions) {
+  const auto p = GetParam();
+  auto live = [&](Mode m) {
+    auto cfg = quick(p.stack, m, Placement::IntraNode);
+    cfg.sizes = {4u << 20};
+    cfg.iters = 1;
+    cfg.warmup = 0;
+    cfg.window = 2;
+    std::size_t n = 0;
+    cfg.inspect = [&n](hw::System& sys) { n = sys.memory.liveAllocations(); };
+    EXPECT_GT(runBandwidth(cfg)[0].value, 0.0);
+    return n;
+  };
+  EXPECT_EQ(live(Mode::Device), p.device_bufs);
+  EXPECT_EQ(live(Mode::HostStaging), p.device_bufs + p.staging_bufs);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStacks, OsuStaging,
+                         ::testing::Values(StagingParam{Stack::Charm, 2, 2},
+                                           StagingParam{Stack::Ampi, 4, 4},
+                                           StagingParam{Stack::Ompi, 4, 4},
+                                           StagingParam{Stack::Charm4py, 2, 2}),
+                         [](const ::testing::TestParamInfo<StagingParam>& info) {
+                           std::string n = name(info.param.stack);
+                           for (char& c : n) {
+                             if (c == '+') c = 'p';
+                           }
+                           return n;
+                         });
 
 TEST(OsuDeterminism, RepeatedRunsIdentical) {
   auto cfg = quick(Stack::Ampi, Mode::Device, Placement::InterNode);
