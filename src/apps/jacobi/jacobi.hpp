@@ -33,10 +33,8 @@ struct JacobiConfig {
   /// (Sec. VI, ref. [23]). The paper's own evaluation uses odf = 1.
   int overdecomposition = 1;
   model::Model model = model::summit(1);  ///< machine is resized to `nodes`
-  /// Enable message-lifecycle span collection on the simulated machine.
-  bool observe = false;
   /// Called with the freshly constructed simulated machine before any traffic
-  /// runs — the hook for streaming-mode collection or utilization recording.
+  /// runs — the hook for span collection or utilization recording.
   std::function<void(hw::System&)> setup;
   /// Called with the simulated machine after the run finishes, before
   /// teardown — the hook for reading spans/metrics out of a run.

@@ -150,7 +150,6 @@ JacobiResult runCharm(const JacobiConfig& cfg, std::vector<double>* out) {
   m.machine.num_nodes = cfg.nodes;
   m.machine.backed_device_memory = cfg.backed;
   hw::System sys(m.machine);
-  if (cfg.observe) sys.obs.spans.enable();
   if (cfg.setup) cfg.setup(sys);
   ucx::Context ctx(sys, m.ucx);
   ck::Runtime rt(sys, ctx, m);

@@ -46,13 +46,9 @@ struct BenchConfig {
   int warmup = 10;
   int window = 64;  ///< bandwidth only
   model::Model model = model::summit(2);
-  /// Enable message-lifecycle span collection on the simulated machine
-  /// (`gpucomm_sweep --metric breakdown`). Off by default: spans allocate
-  /// and benchmarks are also used as allocation/determinism baselines.
-  bool observe = false;
   /// Called with the freshly constructed simulated machine before any
-  /// traffic runs — the hook for switching the collector to streaming mode,
-  /// attaching sinks, or enabling utilization recording.
+  /// traffic runs — the hook for enabling span collection with its sinks,
+  /// or utilization recording. Spans stay off without it.
   std::function<void(hw::System&)> setup;
   /// Called with the simulated machine after the benchmark's engine run
   /// finishes, before teardown — the hook for reading spans/metrics out of a

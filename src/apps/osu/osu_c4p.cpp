@@ -126,7 +126,6 @@ struct C4pFixture {
     model::Model m = cfg.model;
     m.machine.backed_device_memory = false;
     sys = std::make_unique<hw::System>(m.machine);
-    if (cfg.observe) sys->obs.spans.enable();
     if (cfg.setup) cfg.setup(*sys);
     ctx = std::make_unique<ucx::Context>(*sys, m.ucx);
     rt = std::make_unique<ck::Runtime>(*sys, *ctx, m);

@@ -97,7 +97,7 @@ struct TrainConfig {
   /// Restart attempts allowed before the job is declared failed.
   int max_restarts = 3;
   /// Called with each freshly constructed simulated machine (one per
-  /// attempt) before any traffic runs — the hook for streaming-mode span
+  /// attempt) before any traffic runs — the hook for span
   /// collection or utilization recording.
   std::function<void(hw::System&)> setup;
 

@@ -45,7 +45,7 @@ struct System {
       r.setGauge("obs.spans_begun", obs.spans.begun());
       r.setGauge("obs.spans_open", obs.spans.openCount());
       r.setGauge("obs.spans_open_hwm", obs.spans.openHighWatermark());
-      r.setGauge("obs.spans_retired", obs.spans.retired());
+      r.setGauge("obs.spans_retired", obs.spans.closed());
       r.setGauge("obs.events_dropped", obs.spans.droppedEvents());
       r.setGauge("obs.windows", obs.spans.windows().size());
       for (std::size_t c = 0; c < kResClassCount; ++c) {

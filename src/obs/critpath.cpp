@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/span.hpp"
-
 namespace cux::obs {
 
 const char* name(CritCat c) {
@@ -82,16 +80,6 @@ void CritPath::addSpan(const SpanInfo& info, const SpanEvent* events,
     if (from == PhaseTimes::kNone) from = info.begin;
     emitSeg(from, info.end, dataClass(cfg_, info));
   }
-}
-
-void CritPath::addCollector(const SpanCollector& sc) {
-  // Group the flat event vector by span id (one pass; ids are dense).
-  const auto& spans = sc.spans();
-  std::vector<std::vector<SpanEvent>> per_span(spans.size());
-  for (const SpanEvent& e : sc.events())
-    if (e.span >= 1 && e.span <= spans.size()) per_span[e.span - 1].push_back(e);
-  for (std::size_t i = 0; i < spans.size(); ++i)
-    addSpan(spans[i], per_span[i].data(), per_span[i].size());
 }
 
 std::vector<CritPath::Iteration> CritPath::attribute(

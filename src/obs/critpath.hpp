@@ -25,8 +25,6 @@
 
 namespace cux::obs {
 
-class SpanCollector;
-
 /// Attribution categories, in charge priority order (lower enum value wins
 /// an overlap). Compute is never assigned from a segment — it is the
 /// uncovered residual.
@@ -58,11 +56,8 @@ class CritPath {
   explicit CritPath(const CritPathConfig& cfg) : cfg_(cfg) {}
 
   /// Derives and stores the labelled segments of one span. Works
-  /// incrementally, so it can run from a streaming Sink at retirement time.
+  /// incrementally, so it can run from a Sink at retirement time.
   void addSpan(const SpanInfo& info, const SpanEvent* events, std::size_t n_events);
-
-  /// Folds every span of a retained-mode collector.
-  void addCollector(const SpanCollector& sc);
 
   struct Iteration {
     sim::TimePoint begin = 0;

@@ -50,19 +50,20 @@ void asyncEvent(Emitter& em, const char* ph, const char* cat, const char* name,
 
 }  // namespace
 
-void writePerfetto(std::ostream& os, const SpanCollector& spans, const sim::Tracer* trace,
+void writePerfetto(std::ostream& os, const RetainSink& spans, const sim::Tracer* trace,
                    const std::vector<CounterTrack>* counters) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   Emitter em{os};
+  const auto& retained = spans.retained();
 
   // Every PE that appears anywhere becomes a process track.
   std::set<int> pes;
-  for (const SpanInfo& s : spans.spans()) {
-    if (s.src_pe >= 0) pes.insert(s.src_pe);
-    if (s.dst_pe >= 0) pes.insert(s.dst_pe);
-  }
-  for (const SpanEvent& e : spans.events()) {
-    if (e.pe >= 0) pes.insert(e.pe);
+  for (const auto& [id, s] : retained) {
+    if (s.info.src_pe >= 0) pes.insert(s.info.src_pe);
+    if (s.info.dst_pe >= 0) pes.insert(s.info.dst_pe);
+    for (const SpanEvent& e : s.events) {
+      if (e.pe >= 0) pes.insert(e.pe);
+    }
   }
   if (trace != nullptr) {
     for (const sim::TraceRecord& r : trace->records()) {
@@ -80,18 +81,8 @@ void writePerfetto(std::ostream& os, const SpanCollector& spans, const sim::Trac
     em.close();
   }
 
-  // Collate phase times once; emit phase instants along the way.
-  const auto& infos = spans.spans();
-  std::vector<PhaseTimes> times(infos.size());
-  for (const SpanEvent& e : spans.events()) {
-    if (e.span == 0 || e.span > infos.size()) continue;
-    auto& slot = times[e.span - 1].at[static_cast<std::size_t>(e.phase)];
-    if (e.time < slot) slot = e.time;
-  }
-
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    const SpanInfo& s = infos[i];
-    const std::uint64_t id = i + 1;
+  for (const auto& [id, span] : retained) {
+    const SpanInfo& s = span.info;
     const int pid = s.src_pe >= 0 ? s.src_pe : 0;
     char label[96];
     std::snprintf(label, sizeof(label), "%s %llu B", s.kind[0] ? s.kind : "span",
@@ -104,20 +95,20 @@ void writePerfetto(std::ostream& os, const SpanCollector& spans, const sim::Trac
     os << ",\"pid\":" << pid << ",\"tid\":0,\"ts\":" << sim::toUs(s.begin)
        << ",\"args\":{\"span\":" << id << ",\"bytes\":" << s.bytes << ",\"tag\":" << s.tag
        << ",\"dst_pe\":" << s.dst_pe << ",\"terminal\":";
-    jsonString(os, s.open ? "open" : name(s.terminal));
+    jsonString(os, name(s.terminal));
     os << "}";
     em.close();
     asyncEvent(em, "e", "span", label, id, pid, sim::toUs(s.end));
 
     // Receiver-side intervals (each its own category: no nesting constraints).
-    const PhaseTimes& pt = times[i];
+    PhaseTimes pt;
+    for (const SpanEvent& e : span.events) pt.see(e.phase, e.time);
     const int dst = s.dst_pe >= 0 ? s.dst_pe : pid;
-    auto get = [&pt](Phase p) { return pt.at[static_cast<std::size_t>(p)]; };
-    const auto meta = get(Phase::MetaArrived);
-    const auto posted = get(Phase::RecvPosted);
-    const auto early = get(Phase::EarlyArrival);
-    const auto matched_u = get(Phase::MatchedUnexpected);
-    const auto completed = get(Phase::Completed);
+    const auto meta = pt.get(Phase::MetaArrived);
+    const auto posted = pt.get(Phase::RecvPosted);
+    const auto early = pt.get(Phase::EarlyArrival);
+    const auto matched_u = pt.get(Phase::MatchedUnexpected);
+    const auto completed = pt.get(Phase::Completed);
     if (meta != PhaseTimes::kNone && posted != PhaseTimes::kNone && posted >= meta) {
       asyncEvent(em, "b", "post-delay", "post-delay", id, dst, sim::toUs(meta));
       asyncEvent(em, "e", "post-delay", "post-delay", id, dst, sim::toUs(posted));
@@ -139,34 +130,35 @@ void writePerfetto(std::ostream& os, const SpanCollector& spans, const sim::Trac
   }
 
   // Phase transitions as nested instants inside each span's async track.
-  for (const SpanEvent& e : spans.events()) {
-    if (e.span == 0 || e.span > infos.size()) continue;
-    const SpanInfo& s = infos[e.span - 1];
-    const int pid = s.src_pe >= 0 ? s.src_pe : 0;
-    em.open();
-    os << "\"cat\":\"span\",\"id\":\"0x" << std::hex << e.span << std::dec
-       << "\",\"ph\":\"n\",\"name\":";
-    jsonString(os, name(e.phase));
-    os << ",\"pid\":" << pid << ",\"tid\":0,\"ts\":" << sim::toUs(e.time)
-       << ",\"args\":{\"pe\":" << e.pe;
-    if (routedPhase(e.phase)) {
-      // Decode the packed multipath word: which route/rail, how many bytes —
-      // a raw 64-bit integer is useless in the UI.
-      os << ",\"route\":" << unpackRoute(e.aux)
-         << ",\"route_bytes\":" << unpackRouteBytes(e.aux);
-    } else {
-      os << ",\"aux\":" << e.aux;
+  for (const auto& [id, span] : retained) {
+    const int pid = span.info.src_pe >= 0 ? span.info.src_pe : 0;
+    for (const SpanEvent& e : span.events) {
+      em.open();
+      os << "\"cat\":\"span\",\"id\":\"0x" << std::hex << id << std::dec
+         << "\",\"ph\":\"n\",\"name\":";
+      jsonString(os, name(e.phase));
+      os << ",\"pid\":" << pid << ",\"tid\":0,\"ts\":" << sim::toUs(e.time)
+         << ",\"args\":{\"pe\":" << e.pe;
+      if (routedPhase(e.phase)) {
+        // Decode the packed multipath word: which route/rail, how many bytes —
+        // a raw 64-bit integer is useless in the UI.
+        os << ",\"route\":" << unpackRoute(e.aux)
+           << ",\"route_bytes\":" << unpackRouteBytes(e.aux);
+      } else {
+        os << ",\"aux\":" << e.aux;
+      }
+      os << "}";
+      em.close();
     }
-    os << "}";
-    em.close();
   }
 
   // Per-PE in-flight span counter.
   std::map<int, std::map<sim::TimePoint, std::int64_t>> deltas;
-  for (const SpanInfo& s : infos) {
+  for (const auto& [id, span] : retained) {
+    const SpanInfo& s = span.info;
     const int pid = s.src_pe >= 0 ? s.src_pe : 0;
     deltas[pid][s.begin] += 1;
-    if (!s.open) deltas[pid][s.end] -= 1;
+    deltas[pid][s.end] -= 1;
   }
   for (const auto& [pe, series] : deltas) {
     std::int64_t level = 0;

@@ -5,12 +5,13 @@
 #include <utility>
 #include <vector>
 
-#include "obs/span.hpp"
+#include "obs/sink.hpp"
 #include "sim/trace.hpp"
 
 /// \file perfetto.hpp
-/// Chrome trace_event JSON export of collected spans (plus, optionally, the
-/// flat Tracer timeline), loadable in ui.perfetto.dev or chrome://tracing.
+/// Chrome trace_event JSON export of the spans a RetainSink kept (plus,
+/// optionally, the flat Tracer timeline and counter tracks), loadable in
+/// ui.perfetto.dev or chrome://tracing.
 ///
 /// Layout: each PE is a process ("PE n"). A message span renders as an async
 /// duration event on the sender PE (named "<kind> <bytes>B") with its phase
@@ -30,7 +31,7 @@ struct CounterTrack {
   std::vector<std::pair<double, double>> points;
 };
 
-void writePerfetto(std::ostream& os, const SpanCollector& spans,
+void writePerfetto(std::ostream& os, const RetainSink& spans,
                    const sim::Tracer* trace = nullptr,
                    const std::vector<CounterTrack>* counters = nullptr);
 

@@ -80,9 +80,8 @@ struct SpanEvent {
   std::uint64_t aux = 0;  ///< phase-specific (bytes, attempt number, ...)
 };
 
-/// Per-span summary maintained incrementally (indexed by span id - 1 in the
-/// retained collector; carried alongside the open-span event list in the
-/// streaming collector).
+/// Per-span summary maintained incrementally, carried alongside the span's
+/// own event list while it is open.
 struct SpanInfo {
   sim::TimePoint begin = 0;
   sim::TimePoint end = 0;  ///< max event time seen so far

@@ -62,19 +62,6 @@ void Breakdown::accumulateSpan(const SpanInfo& s, const SpanEvent* events,
   }
 }
 
-void Breakdown::accumulate(const SpanCollector& sc) {
-  // Group the flat event vector by span id, then fold each span through the
-  // same per-span path the streaming sinks use.
-  const auto& all_spans = sc.spans();
-  std::vector<std::vector<SpanEvent>> per_span(all_spans.size());
-  for (const SpanEvent& e : sc.events()) {
-    if (e.span == 0 || e.span > all_spans.size()) continue;
-    per_span[e.span - 1].push_back(e);
-  }
-  for (std::size_t i = 0; i < all_spans.size(); ++i)
-    accumulateSpan(all_spans[i], per_span[i].data(), per_span[i].size());
-}
-
 double percentile(std::vector<double>& v, double p) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());

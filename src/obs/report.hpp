@@ -3,10 +3,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/span.hpp"
+#include "obs/phase.hpp"
 
 /// \file report.hpp
-/// Per-phase latency breakdown derived from collected spans: the quantities
+/// Per-phase latency breakdown derived from retired spans: the quantities
 /// the paper's end-to-end figures cannot show. Intervals (all in
 /// microseconds of virtual time):
 ///
@@ -36,13 +36,9 @@ struct Breakdown {
   std::uint64_t multipath_events = 0;
   std::vector<std::uint64_t> path_bytes;
 
-  /// Folds every span of `sc` into the sample vectors (callable repeatedly
-  /// to aggregate across runs).
-  void accumulate(const SpanCollector& sc);
-
-  /// Folds one span from its summary + own event list. The per-span core of
-  /// accumulate(), exposed so a streaming Sink can feed a Breakdown at
-  /// retirement time without ever retaining the run.
+  /// Folds one span from its summary + own event list into the sample
+  /// vectors. A Sink calls it at retirement time, so a Breakdown never
+  /// needs the run retained.
   void accumulateSpan(const SpanInfo& info, const SpanEvent* events,
                       std::size_t n_events);
 };

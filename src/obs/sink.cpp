@@ -53,70 +53,4 @@ void JsonlSink::utilLine(const char* res_class, std::uint64_t window,
 
 void JsonlSink::finish() { os_->flush(); }
 
-// --- PerfettoStreamSink -----------------------------------------------------
-
-PerfettoStreamSink::PerfettoStreamSink(std::ostream& os) : os_(&os) {
-  *os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-}
-
-void PerfettoStreamSink::comma() {
-  if (any_) *os_ << ",\n";
-  any_ = true;
-}
-
-namespace {
-
-/// trace_event timestamps are microseconds; emit ns/1000 with fixed
-/// sub-microsecond digits without touching stream-wide float formatting.
-void emitTs(std::ostream& os, sim::TimePoint ns) {
-  os << (ns / 1000) << "." << static_cast<char>('0' + (ns / 100) % 10)
-     << static_cast<char>('0' + (ns / 10) % 10) << static_cast<char>('0' + ns % 10);
-}
-
-}  // namespace
-
-void PerfettoStreamSink::onSpanRetired(std::uint64_t id, const SpanInfo& info,
-                                       const SpanEvent* events, std::size_t n_events) {
-  std::ostream& os = *os_;
-  const int pid = info.src_pe >= 0 ? info.src_pe : 0;
-
-  comma();
-  os << "{\"cat\":\"span\",\"name\":\"" << info.kind << "\",\"ph\":\"b\",\"id\":" << id
-     << ",\"pid\":" << pid << ",\"tid\":0,\"ts\":";
-  emitTs(os, info.begin);
-  os << ",\"args\":{\"span\":" << id << ",\"bytes\":" << info.bytes
-     << ",\"tag\":" << info.tag << ",\"dst_pe\":" << info.dst_pe << ",\"terminal\":\""
-     << name(info.terminal) << "\"}}";
-
-  for (std::size_t i = 0; i < n_events; ++i) {
-    const SpanEvent& e = events[i];
-    comma();
-    os << "{\"cat\":\"phase\",\"name\":\"" << name(e.phase)
-       << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << (e.pe >= 0 ? e.pe : pid)
-       << ",\"tid\":0,\"ts\":";
-    emitTs(os, e.time);
-    os << ",\"args\":{\"span\":" << id;
-    if (routedPhase(e.phase)) {
-      os << ",\"route\":" << unpackRoute(e.aux)
-         << ",\"route_bytes\":" << unpackRouteBytes(e.aux);
-    } else if (e.aux != 0) {
-      os << ",\"aux\":" << e.aux;
-    }
-    os << "}}";
-  }
-
-  comma();
-  os << "{\"cat\":\"span\",\"name\":\"" << info.kind << "\",\"ph\":\"e\",\"id\":" << id
-     << ",\"pid\":" << pid << ",\"tid\":0,\"ts\":";
-  emitTs(os, info.end);
-  os << "}";
-}
-
-void PerfettoStreamSink::finish() {
-  if (finished_) return;
-  finished_ = true;
-  *os_ << "\n]}\n";
-  os_->flush();
-}
-
 }  // namespace cux::obs

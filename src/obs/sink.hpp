@@ -2,17 +2,18 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
+#include <vector>
 
 #include "obs/window.hpp"
 
 /// \file sink.hpp
-/// Pluggable consumers for the streaming observability pipeline. The
-/// collector pushes each retired span (with its full event list, which is
-/// recycled immediately after the call) and, at flush time, each windowed
-/// aggregate. Sinks must not allocate per event beyond their own output
-/// buffering and must never touch the simulation — the stream is
-/// one-directional by construction, which is what keeps streaming obs
-/// trace-invisible.
+/// Pluggable consumers of the span collector. The collector pushes each
+/// retired span (with its full event list, which is recycled immediately
+/// after the call) and, at flush time, each windowed aggregate. Sinks
+/// allocate only for their own output or retained storage and never touch
+/// the simulation — the stream is one-directional by construction, which is
+/// what keeps observability trace-invisible.
 
 namespace cux::obs {
 
@@ -79,25 +80,55 @@ class JsonlSink final : public Sink {
   std::uint64_t lines_ = 0;
 };
 
-/// Incremental Perfetto (Chrome trace_event JSON) writer: header on
-/// construction, async begin/end plus phase instants as each span retires,
-/// closing bracket at finish(). Unlike obs::writePerfetto it never needs
-/// the whole collector in memory.
-class PerfettoStreamSink final : public Sink {
+/// Keeps every retired span with its events, indexed by span id: the
+/// whole-run view that obs::writePerfetto and the tests read. Memory is
+/// O(spans), so attach it only to runs whose every span is wanted.
+class RetainSink final : public Sink {
  public:
-  explicit PerfettoStreamSink(std::ostream& os);
-
   void onSpanRetired(std::uint64_t id, const SpanInfo& info, const SpanEvent* events,
-                     std::size_t n_events) override;
+                     std::size_t n_events) override {
+    retained_[id] = SpanExemplar{info, {events, events + n_events}};
+  }
   void onWindow(const WindowKey&, const WindowStats&, const WindowConfig&) override {}
-  void finish() override;
+
+  /// Retired spans in id order.
+  [[nodiscard]] const std::map<std::uint64_t, SpanExemplar>& retained() const noexcept {
+    return retained_;
+  }
+  /// Retired span `id`, or null.
+  [[nodiscard]] const SpanExemplar* find(std::uint64_t id) const {
+    const auto it = retained_.find(id);
+    return it == retained_.end() ? nullptr : &it->second;
+  }
 
  private:
-  void comma();
+  std::map<std::uint64_t, SpanExemplar> retained_;
+};
 
-  std::ostream* os_;
-  bool any_ = false;
-  bool finished_ = false;
+/// Forwards every call to each attached sink, in attach order, so one
+/// collector can feed several consumers.
+class FanoutSink final : public Sink {
+ public:
+  /// Attaches `sink`; null is ignored, so optional consumers attach
+  /// unconditionally.
+  void add(Sink* sink) {
+    if (sink != nullptr) sinks_.push_back(sink);
+  }
+
+  void onSpanRetired(std::uint64_t id, const SpanInfo& info, const SpanEvent* events,
+                     std::size_t n_events) override {
+    for (Sink* s : sinks_) s->onSpanRetired(id, info, events, n_events);
+  }
+  void onWindow(const WindowKey& key, const WindowStats& stats,
+                const WindowConfig& cfg) override {
+    for (Sink* s : sinks_) s->onWindow(key, stats, cfg);
+  }
+  void finish() override {
+    for (Sink* s : sinks_) s->finish();
+  }
+
+ private:
+  std::vector<Sink*> sinks_;
 };
 
 }  // namespace cux::obs

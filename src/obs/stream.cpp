@@ -2,29 +2,25 @@
 #include "obs/span.hpp"
 
 /// \file stream.cpp
-/// The streaming (bounded-memory) side of obs::SpanCollector: open-span slot
-/// pool, retirement into windowed aggregates, and sink fan-out. Out of line
-/// so span.hpp only forward-declares obs::Sink.
+/// The enabled side of obs::SpanCollector: open-span slot pool, retirement
+/// into windowed aggregates, and the hand-off to the sink. Out of line so
+/// span.hpp only forward-declares obs::Sink.
 
 namespace cux::obs {
 
 void SpanCollector::enableStreaming(const StreamConfig& cfg, Sink* sink) {
   enabled_ = true;
-  streaming_ = true;
-  stream_cfg_ = cfg;
+  cfg_ = cfg;
   sink_ = sink;
   windows_.configure(WindowConfig{cfg.window_ns, cfg.exemplars_per_window});
   slots_.reserve(cfg.reserve_open_spans);
   free_slots_.reserve(cfg.reserve_open_spans);
   open_index_.reserve(cfg.reserve_open_spans);
-  // Spans retained before the upgrade keep their ids; streaming ids continue
-  // densely after them.
-  if (stream_begun_ < spans_.size()) stream_begun_ = spans_.size();
 }
 
-std::uint64_t SpanCollector::streamBegin(sim::TimePoint t, int src_pe, int dst_pe,
-                                         std::uint64_t bytes, const char* kind) {
-  const std::uint64_t id = ++stream_begun_;
+std::uint64_t SpanCollector::open(sim::TimePoint t, int src_pe, int dst_pe,
+                                  std::uint64_t bytes, const char* kind) {
+  const std::uint64_t id = ++begun_;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -32,24 +28,25 @@ std::uint64_t SpanCollector::streamBegin(sim::TimePoint t, int src_pe, int dst_p
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
-    slots_.back().events.reserve(stream_cfg_.events_per_span);
+    slots_.back().events.reserve(cfg_.events_per_span);
   }
   OpenSpan& os = slots_[slot];
   os.info = SpanInfo{t, t, src_pe, dst_pe, bytes, 0, kind, Phase::ApiSend, true};
   os.events.push_back(SpanEvent{id, t, Phase::ApiSend, src_pe, bytes});
   open_index_.emplace(id, slot);
-  noteOpen();
+  ++open_;
+  if (open_ > open_hwm_) open_hwm_ = open_;
   return id;
 }
 
-void SpanCollector::streamPhase(std::uint64_t span, sim::TimePoint t, Phase p, int pe,
-                                std::uint64_t aux) {
+void SpanCollector::record(std::uint64_t span, sim::TimePoint t, Phase p, int pe,
+                           std::uint64_t aux) {
   const auto it = open_index_.find(span);
   if (it == open_index_.end()) {
-    // Span already retired (or never existed): the record has nowhere to
-    // attach. Counted, not stored — this is the one fidelity loss streaming
-    // accepts, and it is surfaced in dumpStats.
-    ++dropped_events_;
+    // Span already retired: the record has nowhere to attach. Counted, not
+    // stored — the one fidelity loss bounded memory accepts, surfaced in
+    // dumpStats. An id that was never minted is ignored.
+    if (span <= begun_) ++dropped_events_;
     return;
   }
   OpenSpan& os = slots_[it->second];
@@ -57,10 +54,10 @@ void SpanCollector::streamPhase(std::uint64_t span, sim::TimePoint t, Phase p, i
   if (t > os.info.end) os.info.end = t;
 }
 
-void SpanCollector::streamEnd(std::uint64_t span, sim::TimePoint t, Phase p, int pe) {
+void SpanCollector::retire(std::uint64_t span, sim::TimePoint t, Phase p, int pe) {
   const auto it = open_index_.find(span);
   if (it == open_index_.end()) {
-    ++double_closes_;
+    if (span <= begun_) ++double_closes_;
     return;
   }
   const std::uint32_t slot = it->second;
@@ -71,7 +68,6 @@ void SpanCollector::streamEnd(std::uint64_t span, sim::TimePoint t, Phase p, int
   os.events.push_back(SpanEvent{span, t, p, pe, 0});
   --open_;
   ++closed_;
-  ++retired_;
   ++terminal_counts_[static_cast<std::size_t>(p)];
   if (os.info.tag != 0) unbindTag(os.info.tag, span);
 
@@ -83,14 +79,14 @@ void SpanCollector::streamEnd(std::uint64_t span, sim::TimePoint t, Phase p, int
   free_slots_.push_back(slot);
 }
 
-void SpanCollector::streamBindTag(std::uint64_t span, std::uint64_t tag) {
+void SpanCollector::bind(std::uint64_t span, std::uint64_t tag) {
   const auto it = open_index_.find(span);
   if (it == open_index_.end()) return;
   slots_[it->second].info.tag = tag;
   tag_to_span_[tag] = span;
 }
 
-const SpanInfo* SpanCollector::streamFind(std::uint64_t id) const noexcept {
+const SpanInfo* SpanCollector::span(std::uint64_t id) const noexcept {
   const auto it = open_index_.find(id);
   return it == open_index_.end() ? nullptr : &slots_[it->second].info;
 }

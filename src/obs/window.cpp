@@ -53,8 +53,8 @@ void WindowAggregator::fold(const SpanInfo& info, const SpanEvent* events,
     default: break;
   }
 
-  // The interval derivations mirror obs::Breakdown::accumulate so the
-  // windowed histograms and the retained-mode report agree on semantics.
+  // The interval derivations mirror obs::Breakdown::accumulateSpan so the
+  // windowed histograms and the breakdown report agree on semantics.
   if (info.terminal == Phase::Completed && info.end >= info.begin)
     w.total.observe(info.end - info.begin);
   if (pt.has(Phase::MetaArrived) && pt.get(Phase::MetaArrived) >= info.begin)

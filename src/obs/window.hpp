@@ -63,7 +63,8 @@ struct WindowKeyLess {
   }
 };
 
-/// A retained full span kept as a window exemplar.
+/// One full span: its summary and its own event list (a window exemplar,
+/// or a RetainSink entry).
 struct SpanExemplar {
   SpanInfo info;
   std::vector<SpanEvent> events;
@@ -107,7 +108,6 @@ class WindowAggregator {
   [[nodiscard]] const Map& windows() const noexcept { return map_; }
   [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
   [[nodiscard]] bool empty() const noexcept { return map_.empty(); }
-  void clear() { map_.clear(); }
 
   /// Emits every window through `sink` in deterministic key order.
   void emit(Sink& sink) const;

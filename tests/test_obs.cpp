@@ -166,12 +166,15 @@ TEST(Spans, DisabledCollectorIsInert) {
   sc.bindTag(0, 99);
   EXPECT_EQ(sc.spanForTag(99), 0u);
   EXPECT_EQ(sc.begun(), 0u);
-  EXPECT_TRUE(sc.events().empty());
+  EXPECT_EQ(sc.closed(), 0u);
+  EXPECT_EQ(sc.droppedEvents(), 0u);
+  EXPECT_TRUE(sc.windows().empty());
 }
 
 TEST(Spans, LifecycleAccounting) {
+  obs::RetainSink retain;
   obs::SpanCollector sc;
-  sc.enable();
+  sc.enableStreaming({}, &retain);
   const auto s1 = sc.begin(100, 0, 1, 4096, "ampi");
   const auto s2 = sc.begin(110, 2, 3, 64, "charm");
   EXPECT_EQ(s1, 1u);
@@ -194,17 +197,22 @@ TEST(Spans, LifecycleAccounting) {
   EXPECT_EQ(sc.openCount(), 0u);
   EXPECT_EQ(sc.terminalCount(obs::Phase::Errored), 1u);
 
-  const obs::SpanInfo* info = sc.span(s1);
-  ASSERT_NE(info, nullptr);
-  EXPECT_EQ(info->begin, 100u);
-  EXPECT_EQ(info->end, 200u);  // the double close was rejected before touching end
-  EXPECT_EQ(info->bytes, 4096u);
-  EXPECT_STREQ(info->kind, "ampi");
+  const obs::SpanExemplar* retired = retain.find(s1);
+  ASSERT_NE(retired, nullptr);
+  const obs::SpanInfo& info = retired->info;
+  EXPECT_EQ(info.begin, 100u);
+  EXPECT_EQ(info.end, 200u);  // the double close was rejected before touching end
+  EXPECT_EQ(info.bytes, 4096u);
+  EXPECT_STREQ(info.kind, "ampi");
+  EXPECT_EQ(info.terminal, obs::Phase::Completed);
+  ASSERT_EQ(retired->events.size(), 4u);  // api-send, meta, posted, completed
+  EXPECT_EQ(retired->events[1].phase, obs::Phase::MetaArrived);
+  EXPECT_EQ(retain.retained().size(), 2u);
 }
 
 TEST(Spans, TagBindingAndUnbindOnClose) {
   obs::SpanCollector sc;
-  sc.enable();
+  sc.enableStreaming();
   const auto s = sc.begin(0, 0, 1, 64, "raw");
   sc.bindTag(s, 777);
   EXPECT_EQ(sc.spanForTag(777), s);
@@ -219,16 +227,19 @@ TEST(Spans, TagBindingAndUnbindOnClose) {
 }
 
 TEST(Spans, OutOfRangeSpanIdsAreIgnored) {
+  obs::RetainSink retain;
   obs::SpanCollector sc;
-  sc.enable();
+  sc.enableStreaming({}, &retain);
   sc.phase(12345, 10, obs::Phase::MetaArrived, 0);
   sc.end(12345, 20, obs::Phase::Completed, 0);
-  EXPECT_TRUE(sc.events().empty());
+  EXPECT_TRUE(retain.retained().empty());
+  EXPECT_EQ(sc.droppedEvents(), 0u) << "an id never minted is not a late record";
   EXPECT_EQ(sc.doubleCloses(), 0u);
+  EXPECT_EQ(sc.closed(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Streaming mode: windowed aggregation, sinks, packed-aux decode
+// Retirement: windowed aggregation, sinks, packed-aux decode
 // ---------------------------------------------------------------------------
 
 TEST(PackedAux, RouteBytesRoundTripAndMask) {
@@ -249,7 +260,6 @@ TEST(Spans, StreamingRetiresIntoWindowsAndSink) {
   obs::SpanCollector sc;
   sc.enableStreaming({}, &sink);
   EXPECT_TRUE(sc.enabled());
-  EXPECT_TRUE(sc.streaming());
 
   const auto s1 = sc.begin(1000, 0, 1, 4096, "charm");
   sc.phase(s1, 1500, obs::Phase::MetaArrived, 1);
@@ -260,11 +270,10 @@ TEST(Spans, StreamingRetiresIntoWindowsAndSink) {
   sc.end(s2, 2100, obs::Phase::Completed, 3);
 
   EXPECT_EQ(sc.begun(), 2u);
-  EXPECT_EQ(sc.retired(), 2u);
+  EXPECT_EQ(sc.closed(), 2u);
   EXPECT_EQ(sc.openCount(), 0u);
   EXPECT_EQ(sink.spans(), 2u);
-  EXPECT_TRUE(sc.spans().empty()) << "streaming mode must not retain spans";
-  EXPECT_TRUE(sc.events().empty());
+  EXPECT_EQ(sc.span(s1), nullptr) << "the collector must not retain retired spans";
   // Both spans end inside the same 100 us window of the same kind/size class.
   ASSERT_EQ(sc.windows().size(), 1u);
   const auto& [key, stats] = *sc.windows().windows().begin();
@@ -366,8 +375,9 @@ TEST(Breakdown, PercentileInterpolatesBetweenRanks) {
 }
 
 TEST(Breakdown, IntervalsFromKnownTimeline) {
+  obs::RetainSink retain;
   obs::SpanCollector sc;
-  sc.enable();
+  sc.enableStreaming({}, &retain);
   // One span with the full paper timeline, in nanoseconds of virtual time:
   // api-send @0, payload early @1000, metadata @3000, receive posted @4000,
   // matched @4000, completed @6000.
@@ -378,8 +388,10 @@ TEST(Breakdown, IntervalsFromKnownTimeline) {
   sc.phase(s, 4000, obs::Phase::MatchedUnexpected, 1);
   sc.end(s, 6000, obs::Phase::Completed, 1);
 
+  const obs::SpanExemplar* span = retain.find(s);
+  ASSERT_NE(span, nullptr);
   obs::Breakdown b;
-  b.accumulate(sc);
+  b.accumulateSpan(span->info, span->events.data(), span->events.size());
   EXPECT_EQ(b.spans, 1u);
   EXPECT_EQ(b.completed, 1u);
   EXPECT_EQ(b.matched_unexpected, 1u);
@@ -396,11 +408,13 @@ TEST(Breakdown, IntervalsFromKnownTimeline) {
 }
 
 TEST(Breakdown, OpenSpansContributeNoTotal) {
-  obs::SpanCollector sc;
-  sc.enable();
-  (void)sc.begin(0, 0, 1, 64, "ampi");  // never closed
+  obs::SpanInfo info;  // never closed
+  info.bytes = 64;
+  info.kind = "ampi";
+  info.open = true;
+  const obs::SpanEvent ev{1, 0, obs::Phase::ApiSend, 0, 64};
   obs::Breakdown b;
-  b.accumulate(sc);
+  b.accumulateSpan(info, &ev, 1);
   EXPECT_EQ(b.spans, 1u);
   EXPECT_EQ(b.completed, 0u);
   EXPECT_TRUE(b.total.empty());
@@ -411,8 +425,9 @@ TEST(Breakdown, OpenSpansContributeNoTotal) {
 // ---------------------------------------------------------------------------
 
 TEST(Perfetto, ExportContainsTracksSpansAndCounters) {
+  obs::RetainSink retain;
   obs::SpanCollector sc;
-  sc.enable();
+  sc.enableStreaming({}, &retain);
   const auto s = sc.begin(1000, 0, 1, 4096, "charm");
   sc.phase(s, 2000, obs::Phase::MetaArrived, 1, 4096);
   sc.phase(s, 2500, obs::Phase::RecvPosted, 1, 4096);
@@ -423,7 +438,7 @@ TEST(Perfetto, ExportContainsTracksSpansAndCounters) {
   tracer.record(1500, sim::TraceCat::UcxSend, 0, 1, 4096, 7, "eager-host");
 
   std::ostringstream os;
-  obs::writePerfetto(os, sc, &tracer);
+  obs::writePerfetto(os, retain, &tracer);
   const std::string j = os.str();
   EXPECT_NE(j.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(j.find("\"PE 0\""), std::string::npos);
@@ -432,6 +447,8 @@ TEST(Perfetto, ExportContainsTracksSpansAndCounters) {
   EXPECT_NE(j.find("\"ph\":\"b\""), std::string::npos);  // async span begin
   EXPECT_NE(j.find("\"ph\":\"e\""), std::string::npos);  // async span end
   EXPECT_NE(j.find("inflight-spans"), std::string::npos);
+  EXPECT_NE(j.find("\"cat\":\"post-delay\""), std::string::npos);  // receiver interval
+  EXPECT_NE(j.find("\"name\":\"recv-posted\""), std::string::npos);   // phase instant
   EXPECT_NE(j.find("ucx.send"), std::string::npos);  // tracer instant
   // Structurally balanced (cheap well-formedness check; CI runs a real JSON
   // parser over the exported file).
@@ -440,13 +457,12 @@ TEST(Perfetto, ExportContainsTracksSpansAndCounters) {
 }
 
 TEST(Perfetto, EscapesDetailStrings) {
-  obs::SpanCollector sc;
-  sc.enable();
+  const obs::RetainSink no_spans;
   sim::Tracer tracer;
   tracer.enable();
   tracer.record(0, sim::TraceCat::User, 0, -1, 0, 0, "quote\"back\\slash");
   std::ostringstream os;
-  obs::writePerfetto(os, sc, &tracer);
+  obs::writePerfetto(os, no_spans, &tracer);
   EXPECT_NE(os.str().find("quote\\\"back\\\\slash"), std::string::npos);
 }
 
@@ -541,8 +557,9 @@ TEST(TracerRing, InterningDeduplicatesEqualDetails) {
 
 TEST(ObsSystem, DeviceTransferProducesClosedSpanWithPhases) {
   auto m = model::summit(1);
+  obs::RetainSink retain;
   hw::System sys(m.machine);
-  sys.obs.spans.enable();
+  sys.obs.spans.enableStreaming({}, &retain);
   ucx::Context ctx(sys, m.ucx);
   cmi::Converse cmi(sys, ctx, m.costs);
   core::DeviceComm dev(cmi);
@@ -564,18 +581,18 @@ TEST(ObsSystem, DeviceTransferProducesClosedSpanWithPhases) {
   EXPECT_EQ(sc.openCount(), 0u);
   EXPECT_EQ(sc.doubleCloses(), 0u);
   EXPECT_EQ(sc.terminalCount(obs::Phase::Completed), 1u);
+  const obs::SpanExemplar* span = retain.find(1);
+  ASSERT_NE(span, nullptr);
   bool saw_payload = false, saw_posted = false;
-  for (const auto& e : sc.events()) {
+  for (const auto& e : span->events) {
     saw_payload |= e.phase == obs::Phase::PayloadSent;
     saw_posted |= e.phase == obs::Phase::RecvPosted;
   }
   EXPECT_TRUE(saw_payload);
   EXPECT_TRUE(saw_posted);
-  const obs::SpanInfo* info = sc.span(1);
-  ASSERT_NE(info, nullptr);
-  EXPECT_EQ(info->src_pe, 0);
-  EXPECT_EQ(info->dst_pe, 1);
-  EXPECT_STREQ(info->kind, "charm");
+  EXPECT_EQ(span->info.src_pe, 0);
+  EXPECT_EQ(span->info.dst_pe, 1);
+  EXPECT_STREQ(span->info.kind, "charm");
 }
 
 TEST(ObsSystem, RegistrySnapshotRehomesLayerStats) {

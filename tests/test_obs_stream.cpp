@@ -11,9 +11,8 @@
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
-/// Bounded-memory streaming observability (ROADMAP item 4): a message storm
-/// at >= 10x the collector's default span capacity must run with collector
-/// memory independent of the message count.
+/// Bounded-memory observability: a message storm of >= 40960 deliveries
+/// must run with collector memory independent of the message count.
 
 // --------------------------------------------------------------------------
 // Live-byte heap accounting. Every allocation is prefixed with a 16-byte
@@ -58,8 +57,7 @@ namespace {
 using namespace cux;
 
 // --------------------------------------------------------------------------
-// Bounded memory at 10x the default span capacity (the acceptance bar:
-// >= 40960 deliveries vs the collector's default 4096-span reservation).
+// Bounded memory over a 40960-delivery storm.
 // --------------------------------------------------------------------------
 
 constexpr int kPes = 16;
@@ -67,7 +65,7 @@ constexpr int kWalkers = 16;
 constexpr int kHops = 159;
 constexpr std::uint64_t kDeliveries =
     static_cast<std::uint64_t>(kPes) * kWalkers * (kHops + 1);
-static_assert(kDeliveries >= 10 * 4096, "storm must be >= 10x the default span capacity");
+static_assert(kDeliveries >= 10 * 4096, "storm must be >= 40960 deliveries");
 
 /// A message storm on one engine: kPes * kWalkers walkers each make kHops
 /// hops to seeded-random PEs, and every delivery records one span.
@@ -117,54 +115,43 @@ struct StormRun {
   std::uint64_t dropped = 0;
 };
 
-StormRun runTenXStorm(bool streaming) {
+StormRun runTenXStorm() {
   Storm storm;
-  // Snapshot before enable(): the collector's up-front reservation is part
-  // of its footprint (retained mode pre-reserves O(default span count)).
+  // Snapshot before enabling: the collector's up-front reservation is part
+  // of its footprint.
   const std::uint64_t before = g_live;
   g_peak = before;
-  if (streaming) {
-    storm.spans.enableStreaming({}, nullptr);
-  } else {
-    storm.spans.enable();
-  }
+  storm.spans.enableStreaming({}, nullptr);
   storm.run();
   StormRun out;
   out.deliveries = storm.deliveries;
   out.live_growth = static_cast<std::int64_t>(g_live) - static_cast<std::int64_t>(before);
   out.peak_growth = static_cast<std::int64_t>(g_peak) - static_cast<std::int64_t>(before);
   out.begun = storm.spans.begun();
-  out.retired = storm.spans.retired();
+  out.retired = storm.spans.closed();
   out.open = storm.spans.openCount();
   out.open_hwm = storm.spans.openHighWatermark();
   out.dropped = storm.spans.droppedEvents();
   return out;
 }
 
-TEST(StreamObs, TenXStormStaysBoundedWhileRetainedModeGrows) {
-  const StormRun streaming = runTenXStorm(/*streaming=*/true);
-  const StormRun retained = runTenXStorm(/*streaming=*/false);
+TEST(StreamObs, TenXStormStaysBounded) {
+  const StormRun run = runTenXStorm();
 
-  ASSERT_EQ(streaming.deliveries, kDeliveries);
-  EXPECT_EQ(streaming.begun, kDeliveries);
-  EXPECT_EQ(streaming.retired, kDeliveries) << "every span must retire through streaming";
-  EXPECT_EQ(streaming.open, 0u);
-  EXPECT_LE(streaming.open_hwm, 1u) << "each span closes in the callback that opened it";
-  EXPECT_EQ(streaming.dropped, 0u);
-  EXPECT_EQ(retained.begun, kDeliveries);
+  ASSERT_EQ(run.deliveries, kDeliveries);
+  EXPECT_EQ(run.begun, kDeliveries);
+  EXPECT_EQ(run.retired, kDeliveries) << "every span must retire";
+  EXPECT_EQ(run.open, 0u);
+  EXPECT_LE(run.open_hwm, 1u) << "each span closes in the callback that opened it";
+  EXPECT_EQ(run.dropped, 0u);
 
-  // The acceptance bound: streaming collector memory is O(open spans +
+  // The acceptance bound: collector memory is O(open spans +
   // windows), not O(deliveries). 1 MiB is ~25 B/span of headroom; the real
   // footprint (slot pool + a handful of windows) is far below it.
-  EXPECT_LT(streaming.live_growth, std::int64_t{1} << 20)
-      << "streaming collector retained per-message memory";
-  EXPECT_LT(streaming.peak_growth, std::int64_t{2} << 20)
-      << "streaming collector ballooned mid-run";
-
-  // Retained mode keeps every span + 3 events (~150 B/span): the growth gap
-  // is what the streaming mode exists to remove.
-  EXPECT_GT(retained.live_growth, std::int64_t{4} << 20);
-  EXPECT_GT(retained.live_growth, 4 * std::max<std::int64_t>(streaming.live_growth, 1));
+  EXPECT_LT(run.live_growth, std::int64_t{1} << 20)
+      << "collector retained per-message memory";
+  EXPECT_LT(run.peak_growth, std::int64_t{2} << 20)
+      << "collector ballooned mid-run";
 }
 
 // --------------------------------------------------------------------------
@@ -192,7 +179,7 @@ TEST(StreamObs, SteadyStateRetirementHoldsLiveMemoryFlat) {
   const std::int64_t growth = static_cast<std::int64_t>(g_live) - before;
 
   EXPECT_LE(growth, 4096) << "steady-state retirement must not accumulate memory";
-  EXPECT_EQ(sc.retired(), 64u + 10000u);
+  EXPECT_EQ(sc.closed(), 64u + 10000u);
   EXPECT_EQ(sink.spans(), 64u + 10000u);
   EXPECT_EQ(sc.openCount(), 0u);
   EXPECT_EQ(sc.openHighWatermark(), 1u);
@@ -212,7 +199,7 @@ TEST(StreamObs, LateRecordsAfterRetirementAreCountedNotStored) {
   sc.enableStreaming({}, nullptr);
   const std::uint64_t id = sc.begin(10, 0, 1, 64, "late");
   sc.end(id, 20, obs::Phase::Completed, 1);
-  EXPECT_EQ(sc.retired(), 1u);
+  EXPECT_EQ(sc.closed(), 1u);
 
   sc.phase(id, 30, obs::Phase::RndvAts, 0);  // span is gone
   EXPECT_EQ(sc.droppedEvents(), 1u);

@@ -33,9 +33,9 @@ TEST(TraceHash, OrderSensitive) {
   EXPECT_NE(a.hash(), sim::Tracer{}.hash());
 }
 
-/// Span-collector configuration under test: off, retained vectors, or the
-/// bounded-memory streaming mode (windowed aggregation through a sink).
-enum class ObsMode { Off, Retained, Streaming };
+/// Span-collector configuration under test: off, or on (windowed
+/// aggregation through a sink).
+enum class ObsMode { Off, Streaming };
 
 std::uint64_t mixedUcxTrafficHash(const sim::FaultConfig& fault = {},
                                   ucx::MatcherImpl matcher = ucx::MatcherImpl::Bucketed,
@@ -47,7 +47,6 @@ std::uint64_t mixedUcxTrafficHash(const sim::FaultConfig& fault = {},
   obs::NullSink sink;
   hw::System sys(m.machine);
   sys.trace.enable();
-  if (obs == ObsMode::Retained) sys.obs.spans.enable();
   if (obs == ObsMode::Streaming) sys.obs.spans.enableStreaming({}, &sink);
   ucx::Context ctx(sys, m.ucx);
   sim::SplitMix64 rng(42);
@@ -109,7 +108,6 @@ std::uint64_t deviceCommHash(bool smp, const sim::FaultConfig& fault = {},
   obs::NullSink sink;
   hw::System sys(m.machine);
   sys.trace.enable();
-  if (obs == ObsMode::Retained) sys.obs.spans.enable();
   if (obs == ObsMode::Streaming) sys.obs.spans.enableStreaming({}, &sink);
   ucx::Context ctx(sys, m.ucx);
   cmi::Converse cmi(sys, ctx, m.costs);
@@ -185,29 +183,12 @@ TEST(TraceHash, DisabledInjectorIsBitIdenticalToNoInjector) {
 }
 
 // The observability contract (mirroring the injector's): span collection
-// writes only to its own buffers — it never touches sim::Tracer, schedules
-// engine events, or consumes randomness — so enabling it leaves the trace
-// hash bit-identical. This must hold on the clean timeline AND on a faulty
-// one, where the Retry/Fallback/Errored span phases fire too.
-TEST(TraceHash, ObservabilityIsTraceInvisible) {
-  EXPECT_EQ(mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true, ObsMode::Off),
-            mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true, ObsMode::Retained));
-  EXPECT_EQ(deviceCommHash(false, {}, ucx::MatcherImpl::Bucketed, ObsMode::Off),
-            deviceCommHash(false, {}, ucx::MatcherImpl::Bucketed, ObsMode::Retained));
-  EXPECT_EQ(deviceCommHash(true, {}, ucx::MatcherImpl::Bucketed, ObsMode::Off),
-            deviceCommHash(true, {}, ucx::MatcherImpl::Bucketed, ObsMode::Retained));
-  const auto loss = sim::FaultConfig::uniformLoss(0.1, 3);
-  EXPECT_EQ(mixedUcxTrafficHash(loss, ucx::MatcherImpl::Bucketed, true, ObsMode::Off),
-            mixedUcxTrafficHash(loss, ucx::MatcherImpl::Bucketed, true, ObsMode::Retained));
-  EXPECT_EQ(deviceCommHash(false, loss, ucx::MatcherImpl::Bucketed, ObsMode::Off),
-            deviceCommHash(false, loss, ucx::MatcherImpl::Bucketed, ObsMode::Retained));
-}
-
-// The same contract for the bounded-memory mode: windowed aggregation and
-// sink fan-out happen at retirement, on the observer's side of the fence —
-// no events scheduled, no randomness consumed, hashes bit-identical to a run
-// with observability off. Faulty timelines exercise the Retry/Fallback
-// retirement paths too.
+// writes only to its own buffers — windowed aggregation and sink fan-out
+// happen at retirement, on the observer's side of the fence. It never
+// touches sim::Tracer, schedules engine events, or consumes randomness, so
+// enabling it leaves the trace hash bit-identical. This must hold on the
+// clean timeline AND on a faulty one, where the Retry/Fallback/Errored span
+// phases fire too.
 TEST(TraceHash, StreamingObservabilityIsTraceInvisible) {
   EXPECT_EQ(mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true, ObsMode::Off),
             mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true, ObsMode::Streaming));

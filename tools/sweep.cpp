@@ -54,7 +54,7 @@ struct Args {
   osu::Stack stack = osu::Stack::Charm;
   bool stack_set = false;  ///< --stack given (breakdown narrows to one stack)
   bool json = false;       ///< machine-readable output instead of CSV
-  std::string perfetto;    ///< --perfetto FILE (breakdown: trace of last point)
+  std::string perfetto;    ///< --perfetto FILE (breakdown, profile: trace of last point)
   osu::Mode mode = osu::Mode::Device;
   osu::Placement place = osu::Placement::IntraNode;
   int nodes = 2;
@@ -81,9 +81,8 @@ struct Args {
 
 /// Owns the --stream-obs output file and its JsonlSink. Every metric that
 /// constructs a simulated machine calls apply() from the fixture's setup hook
-/// (switching the span collector to streaming mode, so spans flow out as they
-/// retire instead of accumulating) and flush() after the run (windowed
-/// aggregates + utilization timeline lines).
+/// (enabling span collection, so spans flow out as they retire) and flush()
+/// after the run (windowed aggregates + utilization timeline lines).
 struct StreamObs {
   std::ofstream file;
   std::unique_ptr<obs::JsonlSink> jsonl;
@@ -198,14 +197,15 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "                                      (default 8)\n"
       "  --steps N                           training steps (default 3)\n"
       "  --json                              machine-readable JSON instead of CSV\n"
-      "  --perfetto FILE                     (breakdown, profile) write a Chrome\n"
-      "                                      trace_event JSON of the last data\n"
-      "                                      point's spans (profile adds resource-\n"
-      "                                      utilization counter tracks), loadable\n"
-      "                                      in ui.perfetto.dev\n"
+      "  --perfetto FILE                     (breakdown, profile only) write a\n"
+      "                                      Chrome trace_event JSON of the last\n"
+      "                                      data point, loadable in\n"
+      "                                      ui.perfetto.dev: breakdown writes its\n"
+      "                                      spans, profile only its resource-\n"
+      "                                      utilization counter tracks\n"
       "  --stream-obs FILE                   stream observability JSONL (any metric):\n"
-      "                                      span collection runs in bounded-memory\n"
-      "                                      streaming mode; one JSON object per\n"
+      "                                      spans are collected and written as\n"
+      "                                      they retire; one JSON object per\n"
       "                                      line, typed span/window/util (schema\n"
       "                                      checked by tools/check_obs_stream.py)\n",
       argv0);
@@ -327,6 +327,8 @@ Args parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  // Only these metrics write a trace; elsewhere --perfetto would be ignored.
+  if (!a.perfetto.empty() && a.metric != "breakdown" && a.metric != "profile") usage(argv[0]);
   return a;
 }
 
@@ -724,24 +726,17 @@ int runMatch(const Args& a) {
   return "?";
 }
 
-/// Tee sink: folds each retired span into an obs::Breakdown (streaming-mode
-/// percentile accumulation) and forwards the stream to a downstream sink.
+/// Folds each retired span into an obs::Breakdown, so the percentiles
+/// accumulate without retaining the run.
 struct BreakdownSink final : obs::Sink {
   obs::Breakdown* b = nullptr;
-  obs::Sink* next = nullptr;
 
-  void onSpanRetired(std::uint64_t id, const obs::SpanInfo& info, const obs::SpanEvent* events,
+  void onSpanRetired(std::uint64_t, const obs::SpanInfo& info, const obs::SpanEvent* events,
                      std::size_t n) override {
     b->accumulateSpan(info, events, n);
-    if (next != nullptr) next->onSpanRetired(id, info, events, n);
   }
-  void onWindow(const obs::WindowKey& k, const obs::WindowStats& s,
-                const obs::WindowConfig& c) override {
-    if (next != nullptr) next->onWindow(k, s, c);
-  }
-  void finish() override {
-    if (next != nullptr) next->finish();
-  }
+  void onWindow(const obs::WindowKey&, const obs::WindowStats&,
+                const obs::WindowConfig&) override {}
 };
 
 /// Runs the OSU latency point per stack and size with span collection on and
@@ -763,7 +758,8 @@ int runBreakdown(const Args& a) {
     obs::Breakdown b;
   };
   std::vector<Row> rows;
-  obs::SpanCollector last_spans;  // --perfetto: trace of the last point
+  obs::RetainSink last_spans;  // --perfetto: the last point's spans
+  const std::size_t n_points = stacks.size() * sizes.size();
 
   for (const osu::Stack stack : stacks) {
     for (const std::size_t bytes : sizes) {
@@ -779,20 +775,15 @@ int runBreakdown(const Args& a) {
       if (a.drop > 0.0) {
         cfg.model.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
       }
-      cfg.observe = true;
       Row row{stackKey(stack), bytes, 0.0, {}};
-      BreakdownSink bsink;  // streaming path: percentiles fold at retirement
-      if (g_stream.active()) {
-        bsink.b = &row.b;
-        bsink.next = g_stream.jsonl.get();
-        cfg.setup = [&bsink](hw::System& sys) { sys.obs.spans.enableStreaming({}, &bsink); };
-        cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
-      } else {
-        cfg.inspect = [&row, &last_spans](hw::System& sys) {
-          row.b.accumulate(sys.obs.spans);
-          last_spans = sys.obs.spans;
-        };
-      }
+      BreakdownSink bsink;
+      bsink.b = &row.b;
+      obs::FanoutSink fan;
+      fan.add(&bsink);
+      fan.add(g_stream.jsonl.get());  // null without --stream-obs
+      if (!a.perfetto.empty() && rows.size() + 1 == n_points) fan.add(&last_spans);
+      cfg.setup = [&fan](hw::System& sys) { sys.obs.spans.enableStreaming({}, &fan); };
+      cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
       row.latency_us = osu::latencyPoint(cfg, bytes);
       rows.push_back(std::move(row));
     }
@@ -1225,25 +1216,17 @@ int runFailstop(const Args& a) {
 // --metric profile: critical-path attribution + resource utilization
 // --------------------------------------------------------------------------
 
-/// Tee sink: derives each retired span's critical-path segments at
-/// retirement time (so attribution works in bounded-memory streaming mode)
-/// and forwards the stream to a downstream sink.
+/// Derives each retired span's critical-path segments at retirement time,
+/// so attribution never needs the run retained.
 struct CritSink final : obs::Sink {
   obs::CritPath* crit = nullptr;
-  obs::Sink* next = nullptr;
 
-  void onSpanRetired(std::uint64_t id, const obs::SpanInfo& info, const obs::SpanEvent* events,
+  void onSpanRetired(std::uint64_t, const obs::SpanInfo& info, const obs::SpanEvent* events,
                      std::size_t n) override {
     crit->addSpan(info, events, n);
-    if (next != nullptr) next->onSpanRetired(id, info, events, n);
   }
-  void onWindow(const obs::WindowKey& k, const obs::WindowStats& s,
-                const obs::WindowConfig& c) override {
-    if (next != nullptr) next->onWindow(k, s, c);
-  }
-  void finish() override {
-    if (next != nullptr) next->finish();
-  }
+  void onWindow(const obs::WindowKey&, const obs::WindowStats&,
+                const obs::WindowConfig&) override {}
 };
 
 /// One Perfetto counter track per resource class: per-window utilization
@@ -1265,7 +1248,7 @@ struct CritSink final : obs::Sink {
   return out;
 }
 
-/// Runs the OSU latency point per stack and size with streaming span
+/// Runs the OSU latency point per stack and size with span
 /// collection, utilization recording and iteration marks on, and decomposes
 /// each measured iteration's wall time into compute, per-link-class wire
 /// wait, recv-post delay, early-arrival wait, and retry/fallback overhead.
@@ -1308,29 +1291,29 @@ int runProfile(const Args& a) {
       if (a.drop > 0.0) {
         cfg.model.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
       }
-      cfg.observe = true;
-
       obs::CritPathConfig ccfg;
       ccfg.gpus_per_node = cfg.model.machine.gpus_per_node;
       ccfg.host_staged = a.mode == osu::Mode::HostStaging;
       obs::CritPath crit(ccfg);
       CritSink csink;
       csink.crit = &crit;
-      csink.next = g_stream.jsonl.get();  // null when --stream-obs absent
+      obs::FanoutSink fan;
+      fan.add(&csink);
+      fan.add(g_stream.jsonl.get());  // null without --stream-obs
 
       Point p;
       p.stack = stackKey(stack);
       p.bytes = bytes;
       std::vector<sim::TimePoint> marks;
-      cfg.setup = [&csink](hw::System& sys) {
-        sys.obs.spans.enableStreaming({}, &csink);
+      cfg.setup = [&fan](hw::System& sys) {
+        sys.obs.spans.enableStreaming({}, &fan);
         sys.enableUtil();
       };
       cfg.inspect = [&](hw::System& sys) {
         marks = sys.obs.iterationMarks();
         sys.obs.spans.flushWindows();
         p.spans = sys.obs.spans.begun();
-        p.retired = sys.obs.spans.retired();
+        p.retired = sys.obs.spans.closed();
         p.open_hwm = sys.obs.spans.openHighWatermark();
         p.dropped = sys.obs.spans.droppedEvents();
         p.windows = sys.obs.spans.windows().size();
@@ -1424,8 +1407,8 @@ int runProfile(const Args& a) {
       std::fprintf(stderr, "profile: cannot open %s\n", a.perfetto.c_str());
       return 1;
     }
-    obs::SpanCollector empty;  // spans streamed out; the counter tracks carry the timeline
-    obs::writePerfetto(f, empty, nullptr, &last_counters);
+    const obs::RetainSink no_spans;  // the counter tracks carry the timeline
+    obs::writePerfetto(f, no_spans, nullptr, &last_counters);
     std::fprintf(stderr, "profile: wrote Perfetto utilization trace to %s\n",
                  a.perfetto.c_str());
   }
