@@ -24,10 +24,8 @@
 /// identical program shape and only the staging differs (the previous
 /// version of this bench timed one cold collective per fresh world, where
 /// setup effects and the missing warmup swamped the comparison).
-/// Each point is measured 3 times in separate worlds and the median is
-/// reported (the simulator is deterministic; the median equals each run —
-/// recorded anyway so the numbers are comparable with the real-hardware
-/// protocol used across this repo's BENCH files).
+/// Each point runs once: the simulator is deterministic, so a rerun
+/// reproduces it exactly.
 
 using namespace cux;
 
@@ -110,14 +108,6 @@ double runOnce(What what, coll::CollImpl impl, bool gpu_aware, int nodes, std::u
   return sim::toUs(done[last] - done[first]) / iters;
 }
 
-double median3(What what, coll::CollImpl impl, bool gpu_aware, int nodes, std::uint64_t count,
-               int warmup, int iters) {
-  double t[3];
-  for (double& v : t) v = runOnce(what, impl, gpu_aware, nodes, count, warmup, iters);
-  std::sort(t, t + 3);
-  return t[1];
-}
-
 struct Point {
   const char* op;
   coll::CollImpl impl;
@@ -151,8 +141,8 @@ int main(int argc, char** argv) {
       for (const std::uint64_t bytes : sizes) {
         const std::uint64_t count = bytes / 8;
         Point p{opname, impl, bytes, 0, 0};
-        p.device_us = median3(what, impl, true, nodes, count, warmup, iters);
-        p.host_us = median3(what, impl, false, nodes, count, warmup, iters);
+        p.device_us = runOnce(what, impl, true, nodes, count, warmup, iters);
+        p.host_us = runOnce(what, impl, false, nodes, count, warmup, iters);
         points.push_back(p);
       }
     }
@@ -176,13 +166,13 @@ int main(int argc, char** argv) {
     std::printf("  \"methodology\": {\n");
     std::printf("    \"command\": \"./build/bench/ext_collectives --json\",\n");
     std::printf(
-        "    \"statistic\": \"median of 3 worlds; per world, mean of %d warm iterations "
-        "after %d warmup (persistent ranks, distinct tag slot per iteration)\",\n",
+        "    \"statistic\": \"one world per point; mean of %d warm iterations after %d "
+        "warmup (persistent ranks, distinct tag slot per iteration)\",\n",
         iters, warmup);
     std::printf(
         "    \"notes\": \"device and host paths run the identical iteration loop; the host "
         "path adds D2H before and H2D after each collective and reduces on host buffers. "
-        "The simulator is deterministic, so the median equals every run.\"\n");
+        "The simulator is deterministic, so one run per point is exact.\"\n");
     std::printf("  },\n");
     std::printf("  \"acceptance\": {\n");
     std::printf(
@@ -205,7 +195,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("# Extension: pipelined GPU-aware collectives vs host staging\n");
-  std::printf("# %d nodes (%d ranks), steady-state us/iteration, median of 3\n\n", nodes,
+  std::printf("# %d nodes (%d ranks), steady-state us/iteration, one run per point\n\n", nodes,
               6 * nodes);
   std::printf("%-10s %-10s %10s %12s %12s %8s\n", "op", "impl", "bytes", "device", "host",
               "speedup");

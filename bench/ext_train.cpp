@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   std::printf("# Data-parallel SGD, %llu params, %d ranks, %d steps\n\n",
               static_cast<unsigned long long>(cfg.totalParams()), cfg.ranks, cfg.steps);
   for (const auto s : {train::Stack::Ampi, train::Stack::Charm, train::Stack::Charm4py}) {
-    report(train::name(s), train::runTrain(cfg, s));
+    report(osu::name(s), train::runTrain(cfg, s));
   }
   train::TrainConfig host = cfg;
   host.host_staged = true;

@@ -194,11 +194,8 @@ void BM_MemoryClassification(benchmark::State& state) {
 BENCHMARK(BM_MemoryClassification);
 
 // The matcher benches run both engines (BENCH_ucx_matching.json): `bucketed`
-// is the production matcher with the pooled message path, `linear` the
-// retained reference matcher (pools still on, isolating matcher cost), and
-// `linear_nopool` the seed-equivalent configuration — linear scans plus a
-// fresh heap allocation per request/payload — i.e. the "before" numbers on
-// the same fixed harness. Setup (System/Context construction) is hoisted out
+// is the production matcher, `linear` the retained reference matcher, both
+// on the pooled message path, so the pair isolates matcher cost. Setup (System/Context construction) is hoisted out
 // of the timing loop; every iteration fully drains the queues, so one
 // Context serves all iterations. Each send is drained through the engine
 // immediately (steady-state matching at depth N), so the event heap stays
@@ -209,13 +206,12 @@ BENCHMARK(BM_MemoryClassification);
 /// messages in reverse tag order (each arrival's match sits at the tail of a
 /// post-ordered scan — the linear matcher's worst case, the bucketed
 /// matcher's common case).
-void BM_UcxTagMatching(benchmark::State& state, ucx::MatcherImpl impl, bool pooling) {
+void BM_UcxTagMatching(benchmark::State& state, ucx::MatcherImpl impl) {
   const int n = static_cast<int>(state.range(0));
   model::Model m = model::summit(1);
   hw::System sys(m.machine);
   ucx::UcxConfig cfg = m.ucx;
   cfg.matcher = impl;
-  cfg.pooling = pooling;
   ucx::Context ctx(sys, cfg);
   std::vector<std::byte> buf(64);
   std::vector<std::byte> src(64);
@@ -230,30 +226,26 @@ void BM_UcxTagMatching(benchmark::State& state, ucx::MatcherImpl impl, bool pool
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_UcxTagMatching, bucketed, ucx::MatcherImpl::Bucketed, true)
+BENCHMARK_CAPTURE(BM_UcxTagMatching, bucketed, ucx::MatcherImpl::Bucketed)
     ->Arg(64)
     ->Arg(512)
     ->Arg(4096)
     ->Arg(16384);
-BENCHMARK_CAPTURE(BM_UcxTagMatching, linear, ucx::MatcherImpl::Linear, true)
+BENCHMARK_CAPTURE(BM_UcxTagMatching, linear, ucx::MatcherImpl::Linear)
     ->Arg(64)
     ->Arg(512)
-    ->Arg(4096)
-    ->Arg(16384);
-BENCHMARK_CAPTURE(BM_UcxTagMatching, linear_nopool, ucx::MatcherImpl::Linear, false)
     ->Arg(4096)
     ->Arg(16384);
 
 /// Unexpected-queue-heavy: all N messages arrive before any receive is
 /// posted, so every tagRecv scans/probes the unexpected queue. Receives are
 /// posted in reverse arrival order (linear worst case).
-void BM_UcxTagMatchingUnexpected(benchmark::State& state, ucx::MatcherImpl impl, bool pooling) {
+void BM_UcxTagMatchingUnexpected(benchmark::State& state, ucx::MatcherImpl impl) {
   const int n = static_cast<int>(state.range(0));
   model::Model m = model::summit(1);
   hw::System sys(m.machine);
   ucx::UcxConfig cfg = m.ucx;
   cfg.matcher = impl;
-  cfg.pooling = pooling;
   ucx::Context ctx(sys, cfg);
   std::vector<std::byte> buf(64);
   std::vector<std::byte> src(64);
@@ -269,25 +261,22 @@ void BM_UcxTagMatchingUnexpected(benchmark::State& state, ucx::MatcherImpl impl,
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_UcxTagMatchingUnexpected, bucketed, ucx::MatcherImpl::Bucketed, true)
+BENCHMARK_CAPTURE(BM_UcxTagMatchingUnexpected, bucketed, ucx::MatcherImpl::Bucketed)
     ->Arg(512)
     ->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxTagMatchingUnexpected, linear, ucx::MatcherImpl::Linear, true)
+BENCHMARK_CAPTURE(BM_UcxTagMatchingUnexpected, linear, ucx::MatcherImpl::Linear)
     ->Arg(512)
-    ->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxTagMatchingUnexpected, linear_nopool, ucx::MatcherImpl::Linear, false)
     ->Arg(4096);
 
 /// Wildcard mix: 7 of 8 receives are exact, 1 of 8 uses a masked wildcard
 /// (low tag bits) that only its own tag class can match. Exercises the
 /// exact-vs-wildcard sequence arbitration on every arrival.
-void BM_UcxTagMatchingWildcardMix(benchmark::State& state, ucx::MatcherImpl impl, bool pooling) {
+void BM_UcxTagMatchingWildcardMix(benchmark::State& state, ucx::MatcherImpl impl) {
   const int n = static_cast<int>(state.range(0));
   model::Model m = model::summit(1);
   hw::System sys(m.machine);
   ucx::UcxConfig cfg = m.ucx;
   cfg.matcher = impl;
-  cfg.pooling = pooling;
   ucx::Context ctx(sys, cfg);
   std::vector<std::byte> buf(64);
   std::vector<std::byte> src(64);
@@ -305,22 +294,19 @@ void BM_UcxTagMatchingWildcardMix(benchmark::State& state, ucx::MatcherImpl impl
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_UcxTagMatchingWildcardMix, bucketed, ucx::MatcherImpl::Bucketed, true)
+BENCHMARK_CAPTURE(BM_UcxTagMatchingWildcardMix, bucketed, ucx::MatcherImpl::Bucketed)
     ->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxTagMatchingWildcardMix, linear, ucx::MatcherImpl::Linear, true)->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxTagMatchingWildcardMix, linear_nopool, ucx::MatcherImpl::Linear, false)
-    ->Arg(4096);
+BENCHMARK_CAPTURE(BM_UcxTagMatchingWildcardMix, linear, ucx::MatcherImpl::Linear)->Arg(4096);
 
 /// Cancellation at depth: posts N receives and cancels them all. The
 /// bucketed matcher unlinks each in O(1) through the request back-pointer;
 /// the linear matcher pays an O(posted) scan per cancel.
-void BM_UcxCancelRecv(benchmark::State& state, ucx::MatcherImpl impl, bool pooling) {
+void BM_UcxCancelRecv(benchmark::State& state, ucx::MatcherImpl impl) {
   const int n = static_cast<int>(state.range(0));
   model::Model m = model::summit(1);
   hw::System sys(m.machine);
   ucx::UcxConfig cfg = m.ucx;
   cfg.matcher = impl;
-  cfg.pooling = pooling;
   ucx::Context ctx(sys, cfg);
   std::vector<std::byte> buf(64);
   std::vector<ucx::RequestPtr> reqs;
@@ -340,11 +326,10 @@ void BM_UcxCancelRecv(benchmark::State& state, ucx::MatcherImpl impl, bool pooli
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_UcxCancelRecv, bucketed, ucx::MatcherImpl::Bucketed, true)->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxCancelRecv, linear, ucx::MatcherImpl::Linear, true)->Arg(4096);
-BENCHMARK_CAPTURE(BM_UcxCancelRecv, linear_nopool, ucx::MatcherImpl::Linear, false)->Arg(4096);
+BENCHMARK_CAPTURE(BM_UcxCancelRecv, bucketed, ucx::MatcherImpl::Bucketed)->Arg(4096);
+BENCHMARK_CAPTURE(BM_UcxCancelRecv, linear, ucx::MatcherImpl::Linear)->Arg(4096);
 
-void BM_SimulatedMessagesPerSecond(benchmark::State& state, ucx::MatcherImpl impl, bool pooling) {
+void BM_SimulatedMessagesPerSecond(benchmark::State& state, ucx::MatcherImpl impl) {
   // End-to-end: how many simulated eager messages the whole stack retires
   // per wall-clock second. Setup is hoisted so the per-message cost (matcher
   // + pools + engine) is what's measured.
@@ -352,7 +337,6 @@ void BM_SimulatedMessagesPerSecond(benchmark::State& state, ucx::MatcherImpl imp
   hw::System sys(m.machine);
   ucx::UcxConfig cfg = m.ucx;
   cfg.matcher = impl;
-  cfg.pooling = pooling;
   ucx::Context ctx(sys, cfg);
   std::vector<std::byte> src(256), dst(256);
   constexpr int kMsgs = 1000;
@@ -368,9 +352,8 @@ void BM_SimulatedMessagesPerSecond(benchmark::State& state, ucx::MatcherImpl imp
   }
   state.SetItemsProcessed(state.iterations() * kMsgs);
 }
-BENCHMARK_CAPTURE(BM_SimulatedMessagesPerSecond, bucketed, ucx::MatcherImpl::Bucketed, true);
-BENCHMARK_CAPTURE(BM_SimulatedMessagesPerSecond, linear, ucx::MatcherImpl::Linear, true);
-BENCHMARK_CAPTURE(BM_SimulatedMessagesPerSecond, linear_nopool, ucx::MatcherImpl::Linear, false);
+BENCHMARK_CAPTURE(BM_SimulatedMessagesPerSecond, bucketed, ucx::MatcherImpl::Bucketed);
+BENCHMARK_CAPTURE(BM_SimulatedMessagesPerSecond, linear, ucx::MatcherImpl::Linear);
 
 }  // namespace
 

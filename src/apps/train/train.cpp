@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <stdexcept>
 
 #include "ampi/ampi.hpp"
 #include "charm/pup.hpp"
@@ -15,25 +16,6 @@
 #include "ucx/context.hpp"
 
 namespace cux::train {
-
-const char* name(Stack s) {
-  switch (s) {
-    case Stack::Ampi:
-      return "AMPI";
-    case Stack::Charm:
-      return "Charm++";
-    case Stack::Charm4py:
-      return "Charm4py";
-  }
-  return "?";
-}
-
-std::optional<Stack> parseStack(std::string_view s) {
-  if (s == "ampi") return Stack::Ampi;
-  if (s == "charm") return Stack::Charm;
-  if (s == "charm4py" || s == "c4p") return Stack::Charm4py;
-  return std::nullopt;
-}
 
 namespace {
 
@@ -493,6 +475,8 @@ AttemptOutcome runAttempt(const TrainConfig& cfg, Stack stack, int start_step, b
       }
       break;
     }
+    case Stack::Ompi:
+      break;  // rejected in runTrain
   }
 
   sys.engine.run();
@@ -522,6 +506,7 @@ AttemptOutcome runAttempt(const TrainConfig& cfg, Stack stack, int start_step, b
 }  // namespace
 
 TrainResult runTrain(const TrainConfig& cfg, Stack stack) {
+  if (stack == Stack::Ompi) throw std::invalid_argument("train: no OpenMPI training driver");
   TrainResult out;
   out.stack = stack;
   out.ranks = cfg.ranks;

@@ -2,10 +2,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <string_view>
 #include <vector>
 
+#include "apps/osu/osu.hpp"
 #include "coll/coll.hpp"
 
 /// \file train.hpp
@@ -42,9 +41,9 @@
 /// reduced gradients, the recovered run's final model digest is bit-identical
 /// to an unfailed run's.
 ///
-/// The same templated rank program runs on all three stacks: AMPI
+/// The same templated rank program runs on three stacks: AMPI
 /// (ampi::Rank), Charm++ array sections (coll::SectionRank), and Charm4py
-/// channel groups (coll::C4pRank).
+/// channel groups (coll::C4pRank). OpenMPI has no training driver.
 
 namespace cux::hw {
 struct System;
@@ -52,10 +51,7 @@ struct System;
 
 namespace cux::train {
 
-enum class Stack : std::uint8_t { Ampi, Charm, Charm4py };
-
-[[nodiscard]] const char* name(Stack s);
-[[nodiscard]] std::optional<Stack> parseStack(std::string_view s);
+using osu::Stack;
 
 /// A scheduled fail-stop failure for the training job: PE `kill_pe` (== the
 /// rank index; one worker per PE) halts at virtual time `kill_at_us` on the
@@ -167,6 +163,7 @@ struct TrainResult {
 };
 
 /// Builds a fresh simulated machine and runs the workload on `stack`.
+/// Throws std::invalid_argument for Stack::Ompi.
 [[nodiscard]] TrainResult runTrain(const TrainConfig& cfg, Stack stack);
 
 }  // namespace cux::train

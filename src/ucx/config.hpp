@@ -24,13 +24,6 @@ struct UcxConfig {
   /// Which tag-matching engine the workers run (see MatcherImpl).
   MatcherImpl matcher = MatcherImpl::Bucketed;
 
-  /// Whether the allocation-light message path is active: Request objects
-  /// come from a freelist-backed pool and eager payload buffers are
-  /// recycled. Off = every request/payload is a fresh heap allocation (the
-  /// pre-pool behaviour, kept so the benches can measure a seed-equivalent
-  /// "before" configuration in the same binary).
-  bool pooling = true;
-
   /// Host-memory messages at or below this size use the eager protocol
   /// (payload copied and shipped with the header); larger ones rendezvous.
   std::size_t host_eager_threshold = 8192;

@@ -225,11 +225,6 @@ sim::TimePoint Context::stageDeviceEager(sim::TimePoint t, int pe, std::uint64_t
 }
 
 std::vector<std::byte> Context::takeBuffer(std::uint64_t len) {
-  if (!cfg_.pooling) {
-    std::vector<std::byte> v;
-    v.resize(len);
-    return v;
-  }
   if (!buf_pool_.empty()) {
     std::vector<std::byte> v = std::move(buf_pool_.back());
     buf_pool_.pop_back();
@@ -249,7 +244,6 @@ std::vector<std::byte> Context::takeBuffer(std::uint64_t len) {
 }
 
 void Context::recycleBuffer(std::vector<std::byte>&& buf) {
-  if (!cfg_.pooling) return;  // pooling disabled: let the buffer free normally
   if (buf.capacity() == 0 || buf.capacity() > kMaxPooledBufferBytes ||
       buf_pool_bytes_ + buf.capacity() > kMaxPooledBytes) {
     return;  // dropped: keep idle memory bounded

@@ -448,11 +448,23 @@ train::TrainConfig smallTrainConfig() {
   return cfg;
 }
 
-class FailstopTrain : public ::testing::TestWithParam<train::Stack> {};
+/// The training stacks as a one-byte test parameter, in registration order:
+/// each case's registered name prints the byte (<00> is ampi).
+enum class StackParam : std::uint8_t { Ampi, Charm, Charm4py };
+
+constexpr const char* kParamNames[] = {"ampi", "charm", "charm4py"};
+
+train::Stack stackOf(StackParam p) {
+  constexpr train::Stack kStacks[] = {train::Stack::Ampi, train::Stack::Charm,
+                                      train::Stack::Charm4py};
+  return kStacks[static_cast<std::size_t>(p)];
+}
+
+class FailstopTrain : public ::testing::TestWithParam<StackParam> {};
 
 TEST_P(FailstopTrain, CheckpointRestartReproducesUnfailedDigest) {
   const train::TrainConfig cfg = smallTrainConfig();
-  const train::TrainResult base = train::runTrain(cfg, GetParam());
+  const train::TrainResult base = train::runTrain(cfg, stackOf(GetParam()));
   ASSERT_FALSE(base.failed);
   ASSERT_TRUE(base.verified);
   EXPECT_EQ(base.restarts, 0);
@@ -462,7 +474,7 @@ TEST_P(FailstopTrain, CheckpointRestartReproducesUnfailedDigest) {
   train::TrainConfig fcfg = cfg;
   fcfg.fault.kill_pe = 1;
   fcfg.fault.kill_at_us = base.total_us * 0.4;  // mid-run, collectives in flight
-  const train::TrainResult rec = train::runTrain(fcfg, GetParam());
+  const train::TrainResult rec = train::runTrain(fcfg, stackOf(GetParam()));
   ASSERT_FALSE(rec.failed) << "recovery exhausted its restart budget";
   EXPECT_TRUE(rec.recovered) << "the injected failure never hit";
   EXPECT_GE(rec.restarts, 1);
@@ -476,15 +488,10 @@ TEST_P(FailstopTrain, CheckpointRestartReproducesUnfailedDigest) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, FailstopTrain,
-                         ::testing::Values(train::Stack::Ampi, train::Stack::Charm,
-                                           train::Stack::Charm4py),
-                         [](const ::testing::TestParamInfo<train::Stack>& i) {
-                           switch (i.param) {
-                             case train::Stack::Ampi: return "ampi";
-                             case train::Stack::Charm: return "charm";
-                             case train::Stack::Charm4py: return "charm4py";
-                           }
-                           return "unknown";
+                         ::testing::Values(StackParam::Ampi, StackParam::Charm,
+                                           StackParam::Charm4py),
+                         [](const ::testing::TestParamInfo<StackParam>& i) {
+                           return kParamNames[static_cast<std::size_t>(i.param)];
                          });
 
 // --------------------------------------------------------------------------

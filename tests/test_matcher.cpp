@@ -290,20 +290,6 @@ TEST(MatcherAllocations, SteadyStateEagerPathIsAllocationFree) {
   EXPECT_GT(h.ctx->bufferPoolHits(), 0u);
 }
 
-TEST(MatcherAllocations, PoolingOffFallsBackToPlainAllocation) {
-  Harness h(ucx::MatcherImpl::Bucketed);
-  h.m.ucx.pooling = false;
-  hw::System sys(h.m.machine);
-  ucx::Context ctx(sys, h.m.ucx);
-  std::vector<std::byte> src(256), dst(256);
-  ctx.worker(1).tagRecv(dst.data(), 256, ucx::Tag{1}, ucx::kFullMask, {});
-  ctx.tagSend(0, 1, src.data(), 256, ucx::Tag{1}, {});
-  sys.engine.run();
-  // No pool traffic at all when the gate is off.
-  EXPECT_EQ(ctx.requestPoolHits() + ctx.requestPoolMisses(), 0u);
-  EXPECT_EQ(ctx.bufferPoolHits() + ctx.bufferPoolMisses(), 0u);
-}
-
 // --------------------------------------------------------------------------
 // Match statistics surface (gpucomm_sweep --metric match)
 // --------------------------------------------------------------------------

@@ -39,10 +39,9 @@ enum class ObsMode { Off, Streaming };
 
 std::uint64_t mixedUcxTrafficHash(const sim::FaultConfig& fault = {},
                                   ucx::MatcherImpl matcher = ucx::MatcherImpl::Bucketed,
-                                  bool pooling = true, ObsMode obs = ObsMode::Off) {
+                                  ObsMode obs = ObsMode::Off) {
   model::Model m = model::summit(2);
   m.ucx.matcher = matcher;
-  m.ucx.pooling = pooling;
   m.machine.fault = fault;
   obs::NullSink sink;
   hw::System sys(m.machine);
@@ -149,8 +148,6 @@ TEST(TraceHash, DeviceCommBitIdenticalAcrossRuns) {
 // to the reference linear matcher — same matches, same timestamps, same
 // event order — for the full protocol mix (eager/rendezvous, host/device,
 // posted/unexpected, active messages) and for the machine-layer device path.
-// Pooling must likewise be timing-invisible: it recycles storage, never
-// changes behaviour.
 TEST(TraceHash, BucketedMatcherBitIdenticalToLinearReference) {
   EXPECT_EQ(mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed),
             mixedUcxTrafficHash({}, ucx::MatcherImpl::Linear));
@@ -158,11 +155,6 @@ TEST(TraceHash, BucketedMatcherBitIdenticalToLinearReference) {
             deviceCommHash(false, {}, ucx::MatcherImpl::Linear));
   EXPECT_EQ(deviceCommHash(true, {}, ucx::MatcherImpl::Bucketed),
             deviceCommHash(true, {}, ucx::MatcherImpl::Linear));
-}
-
-TEST(TraceHash, PoolingIsTraceInvisible) {
-  EXPECT_EQ(mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true),
-            mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, false));
 }
 
 // The determinism contract of the fault injector: while DISABLED it must be
@@ -190,15 +182,15 @@ TEST(TraceHash, DisabledInjectorIsBitIdenticalToNoInjector) {
 // clean timeline AND on a faulty one, where the Retry/Fallback/Errored span
 // phases fire too.
 TEST(TraceHash, StreamingObservabilityIsTraceInvisible) {
-  EXPECT_EQ(mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true, ObsMode::Off),
-            mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, true, ObsMode::Streaming));
+  EXPECT_EQ(mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, ObsMode::Off),
+            mixedUcxTrafficHash({}, ucx::MatcherImpl::Bucketed, ObsMode::Streaming));
   EXPECT_EQ(deviceCommHash(false, {}, ucx::MatcherImpl::Bucketed, ObsMode::Off),
             deviceCommHash(false, {}, ucx::MatcherImpl::Bucketed, ObsMode::Streaming));
   EXPECT_EQ(deviceCommHash(true, {}, ucx::MatcherImpl::Bucketed, ObsMode::Off),
             deviceCommHash(true, {}, ucx::MatcherImpl::Bucketed, ObsMode::Streaming));
   const auto loss = sim::FaultConfig::uniformLoss(0.1, 3);
-  EXPECT_EQ(mixedUcxTrafficHash(loss, ucx::MatcherImpl::Bucketed, true, ObsMode::Off),
-            mixedUcxTrafficHash(loss, ucx::MatcherImpl::Bucketed, true, ObsMode::Streaming));
+  EXPECT_EQ(mixedUcxTrafficHash(loss, ucx::MatcherImpl::Bucketed, ObsMode::Off),
+            mixedUcxTrafficHash(loss, ucx::MatcherImpl::Bucketed, ObsMode::Streaming));
   EXPECT_EQ(deviceCommHash(false, loss, ucx::MatcherImpl::Bucketed, ObsMode::Off),
             deviceCommHash(false, loss, ucx::MatcherImpl::Bucketed, ObsMode::Streaming));
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "apps/train/train.hpp"
 
 /// Data-parallel training workload: gradient correctness, backward/allreduce
@@ -21,11 +23,23 @@ train::TrainConfig smallConfig() {
   return cfg;
 }
 
-class TrainStacks : public ::testing::TestWithParam<train::Stack> {};
+/// The training stacks as a one-byte test parameter, in registration order:
+/// each case's registered name prints the byte (<00> is ampi).
+enum class StackParam : std::uint8_t { Ampi, Charm, Charm4py };
+
+constexpr const char* kParamNames[] = {"ampi", "charm", "charm4py"};
+
+train::Stack stackOf(StackParam p) {
+  constexpr train::Stack kStacks[] = {train::Stack::Ampi, train::Stack::Charm,
+                                      train::Stack::Charm4py};
+  return kStacks[static_cast<std::size_t>(p)];
+}
+
+class TrainStacks : public ::testing::TestWithParam<StackParam> {};
 
 TEST_P(TrainStacks, GradientsVerifyAndBucketsOverlap) {
   train::TrainConfig cfg = smallConfig();
-  const train::TrainResult res = train::runTrain(cfg, GetParam());
+  const train::TrainResult res = train::runTrain(cfg, stackOf(GetParam()));
 
   ASSERT_EQ(res.steps.size(), static_cast<std::size_t>(cfg.steps));
   EXPECT_GE(res.buckets, 3) << "bucketing produced too few buckets to overlap";
@@ -44,7 +58,7 @@ TEST_P(TrainStacks, GradientsVerifyAndBucketsOverlap) {
 
 TEST_P(TrainStacks, SteadyStateStepsAllocateFromPool) {
   train::TrainConfig cfg = smallConfig();
-  const train::TrainResult res = train::runTrain(cfg, GetParam());
+  const train::TrainResult res = train::runTrain(cfg, stackOf(GetParam()));
   // Step 0 faults the gradient buckets in; steps 1..n-1 must reuse them.
   EXPECT_GT(res.pool_hits, 0u);
   // Per-rank, per-bucket allocations for steps >= 1 are all hits, so hits
@@ -53,18 +67,10 @@ TEST_P(TrainStacks, SteadyStateStepsAllocateFromPool) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, TrainStacks,
-                         ::testing::Values(train::Stack::Ampi, train::Stack::Charm,
-                                           train::Stack::Charm4py),
-                         [](const ::testing::TestParamInfo<train::Stack>& i) {
-                           switch (i.param) {
-                             case train::Stack::Ampi:
-                               return "ampi";
-                             case train::Stack::Charm:
-                               return "charm";
-                             case train::Stack::Charm4py:
-                               return "charm4py";
-                           }
-                           return "unknown";
+                         ::testing::Values(StackParam::Ampi, StackParam::Charm,
+                                           StackParam::Charm4py),
+                         [](const ::testing::TestParamInfo<StackParam>& i) {
+                           return kParamNames[static_cast<std::size_t>(i.param)];
                          });
 
 TEST(Train, DevicePathBeatsHostStaging) {
@@ -96,8 +102,12 @@ TEST(Train, NonPowerOfTwoWorkerCount) {
   cfg.steps = 2;
   for (const auto s : {train::Stack::Ampi, train::Stack::Charm, train::Stack::Charm4py}) {
     const train::TrainResult res = train::runTrain(cfg, s);
-    EXPECT_TRUE(res.verified) << train::name(s);
+    EXPECT_TRUE(res.verified) << osu::name(s);
   }
+}
+
+TEST(Train, OpenMpiHasNoTrainingDriver) {
+  EXPECT_THROW((void)train::runTrain(smallConfig(), train::Stack::Ompi), std::invalid_argument);
 }
 
 }  // namespace

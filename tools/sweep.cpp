@@ -8,9 +8,10 @@
 ///   gpucomm_sweep --metric jacobi --stack charm --nodes 8 --grid 3072,3072,3072 --odf 4
 ///   gpucomm_sweep --metric loss --stack charm --place inter --fault-seed 7
 ///
-/// Any metric accepts --drop P / --fault-seed N to run under deterministic
-/// uniform message loss; --metric loss sweeps the drop rate itself and
-/// reports how retransmission inflates latency.
+/// Every metric except loss, match, train and failstop accepts --drop P /
+/// --fault-seed N to run under deterministic uniform message loss; --metric
+/// loss sweeps the drop rate itself (--drops) and reports how retransmission
+/// inflates latency.
 ///
 /// Output is CSV on stdout (one row per size / per node count / per rate).
 
@@ -148,7 +149,8 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "                                      striping at 1/2/4 rails; exits nonzero\n"
       "                                      if the speedup misses the acceptance\n"
       "                                      bars; uses --sizes, --stack, --iters,\n"
-      "                                      --warmup, --window, --nodes)\n"
+      "                                      --warmup, --window, --nodes,\n"
+      "                                      --no-gdrcopy, --drop)\n"
       "                                      (failstop: fail-stop recovery smoke —\n"
       "                                      trains each stack failure-free, then with\n"
       "                                      a PE killed mid-run; checks the detector-\n"
@@ -187,6 +189,7 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "  --odf N                             Jacobi overdecomposition (charm only)\n"
       "  --no-gdrcopy                        simulate GDRCopy not being detected\n"
       "  --drop P                            uniform message-drop probability [0,1)\n"
+      "                                      (not with loss, match, train, failstop)\n"
       "  --fault-seed N                      fault injector seed (default 0x5eed)\n"
       "  --drops a,b,c                       drop rates in %% for --metric loss\n"
       "                                      (default 0,1,2,5,10)\n"
@@ -245,6 +248,8 @@ Args parse(int argc, char** argv) {
       p = end;
     }
   };
+  bool drop_set = false;
+  bool drops_set = false;
   for (int i = 1; i < argc; ++i) {
     const std::string opt = argv[i];
     if (opt == "--metric") {
@@ -302,11 +307,21 @@ Args parse(int argc, char** argv) {
     } else if (opt == "--no-gdrcopy") {
       a.gdrcopy = false;
     } else if (opt == "--drop") {
-      a.drop = std::atof(need(i));
-      if (a.drop < 0.0 || a.drop >= 1.0) usage(argv[0]);
+      const char* s = need(i);
+      char* end = nullptr;
+      a.drop = std::strtod(s, &end);
+      if (end == s || *end != '\0' || !(a.drop >= 0.0 && a.drop < 1.0)) usage(argv[0]);
+      drop_set = true;
     } else if (opt == "--fault-seed") {
-      a.fault_seed = std::strtoull(need(i), nullptr, 0);
+      const char* s = need(i);
+      char* end = nullptr;
+      errno = 0;
+      a.fault_seed = std::strtoull(s, &end, 0);
+      if (std::isdigit(static_cast<unsigned char>(*s)) == 0 || *end != '\0' || errno == ERANGE) {
+        usage(argv[0]);
+      }
     } else if (opt == "--drops") {
+      drops_set = true;
       a.drops.clear();
       for (std::size_t pct : needSizes(i)) a.drops.push_back(static_cast<double>(pct) / 100.0);
     } else if (opt == "--impl") {
@@ -327,8 +342,16 @@ Args parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  // Only these metrics write a trace; elsewhere --perfetto would be ignored.
+  // An option the metric cannot honour is a usage error, never silently
+  // ignored: only breakdown and profile write a trace, and only loss sweeps
+  // --drops. --drop needs a metric that runs its points under loss: loss
+  // sweeps its own rates, and match, train and failstop run loss-free.
   if (!a.perfetto.empty() && a.metric != "breakdown" && a.metric != "profile") usage(argv[0]);
+  if (drops_set && a.metric != "loss") usage(argv[0]);
+  if (drop_set && (a.metric == "loss" || a.metric == "match" || a.metric == "train" ||
+                   a.metric == "failstop")) {
+    usage(argv[0]);
+  }
   return a;
 }
 
@@ -464,22 +487,94 @@ class RowEmitter {
   std::size_t rows_ = 0;
 };
 
-int runMicro(const Args& a) {
+// --------------------------------------------------------------------------
+// Building a point: one machine rule, one stack list, one stack key
+// --------------------------------------------------------------------------
+
+/// The simulated machine of one data point: `nodes` Summit nodes, GDRCopy
+/// unless --no-gdrcopy, uniform message loss at --drop.
+model::Model machine(const Args& a, int nodes) {
+  model::Model m = model::summit(nodes);
+  m.ucx.gdrcopy_enabled = a.gdrcopy;
+  if (a.drop > 0.0) m.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
+  return m;
+}
+
+/// With --stream-obs, spans stream from each fixture machine as they
+/// retire, and windows and utilization flush after its run.
+template <class Config>
+void streamHooks(Config& cfg) {
+  if (!g_stream.active()) return;
+  cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
+  cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
+}
+
+/// An OSU point on `stack` at `place`: every Args knob applied, and at least
+/// two nodes for an inter-node placement.
+osu::BenchConfig benchConfig(const Args& a, osu::Stack stack, osu::Placement place) {
   osu::BenchConfig cfg;
-  cfg.stack = a.stack;
+  cfg.stack = stack;
   cfg.mode = a.mode;
-  cfg.place = a.place;
+  cfg.place = place;
   cfg.sizes = a.sizes;
   cfg.iters = a.iters;
   cfg.warmup = a.warmup;
   cfg.window = a.window;
-  cfg.model = model::summit(a.nodes < 2 && a.place == osu::Placement::InterNode ? 2 : a.nodes);
-  cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
-  if (a.drop > 0.0) cfg.model.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
-  if (g_stream.active()) {
-    cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
-    cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
+  cfg.model = machine(a, a.nodes < 2 && place == osu::Placement::InterNode ? 2 : a.nodes);
+  streamHooks(cfg);
+  return cfg;
+}
+
+/// The stacks a per-stack metric runs: --stack alone if given, else the
+/// metric's three defaults in order. Metrics without an OpenMPI driver
+/// (`ompi_ok` false) exit 2 on --stack ompi.
+std::vector<osu::Stack> stackList(const Args& a, bool ompi_ok,
+                                  std::initializer_list<osu::Stack> defaults) {
+  if (!a.stack_set) return defaults;
+  if (a.stack == osu::Stack::Ompi && !ompi_ok) {
+    std::fprintf(stderr, "%s: stacks are ampi, charm, charm4py\n", a.metric.c_str());
+    std::exit(2);
   }
+  return {a.stack};
+}
+
+/// --sizes if given, else the metric's default sizes.
+std::vector<std::size_t> sizesOr(const Args& a, std::initializer_list<std::size_t> defaults) {
+  return a.sizes.empty() ? std::vector<std::size_t>(defaults) : a.sizes;
+}
+
+/// CLI identifier of a stack (lowercase, matches the --stack values).
+[[nodiscard]] const char* stackKey(osu::Stack s) {
+  switch (s) {
+    case osu::Stack::Charm:
+      return "charm";
+    case osu::Stack::Ampi:
+      return "ampi";
+    case osu::Stack::Ompi:
+      return "ompi";
+    case osu::Stack::Charm4py:
+      return "charm4py";
+  }
+  return "?";
+}
+
+/// A training job on enough nodes for one PE per rank; --mode host stages
+/// gradients through host memory. Span lines stream at retirement;
+/// training attempts have no post-run hook, so their window aggregates are
+/// not emitted.
+train::TrainConfig trainConfig(const Args& a) {
+  train::TrainConfig cfg;
+  cfg.ranks = a.ranks;
+  cfg.steps = a.steps;
+  cfg.nodes = std::max(a.nodes, (a.ranks + 5) / 6);
+  if (a.impl_set) cfg.coll.impl = a.impl;
+  cfg.host_staged = a.mode == osu::Mode::HostStaging;
+  if (g_stream.active()) cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
+  return cfg;
+}
+
+int runMicro(const Args& a) {
+  const osu::BenchConfig cfg = benchConfig(a, a.stack, a.place);
   const bool lat = a.metric == "latency";
   const auto pts = lat ? osu::runLatency(cfg) : osu::runBandwidth(cfg);
   RowEmitter out(a.json, a.metric.c_str(),
@@ -493,7 +588,7 @@ int runMicro(const Args& a) {
 
 int runJacobi(const Args& a) {
   jacobi::JacobiConfig cfg;
-  cfg.stack = static_cast<jacobi::Stack>(a.stack);
+  cfg.stack = a.stack;
   cfg.mode = a.mode;
   cfg.nodes = a.nodes;
   cfg.grid = a.grid;
@@ -501,13 +596,8 @@ int runJacobi(const Args& a) {
   cfg.warmup = a.warmup;
   cfg.backed = false;
   cfg.overdecomposition = a.odf;
-  cfg.model = model::summit(a.nodes);
-  cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
-  if (a.drop > 0.0) cfg.model.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
-  if (g_stream.active()) {
-    cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
-    cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
-  }
+  cfg.model = machine(a, a.nodes);
+  streamHooks(cfg);
   const auto r = jacobi::runJacobi(cfg);
   if (a.json) {
     std::printf("{\"metric\":\"jacobi\",\"nodes\":%d,"
@@ -535,16 +625,8 @@ int runJacobi(const Args& a) {
 /// retransmissions, degraded-route fallbacks, and receive re-posts the
 /// reliability layer spent to deliver that latency.
 int runLoss(const Args& a) {
-  osu::BenchConfig cfg;
-  cfg.stack = a.stack;
-  cfg.mode = a.mode;
-  cfg.place = a.place;
-  cfg.iters = a.iters;
-  cfg.warmup = a.warmup;
-  cfg.model = model::summit(a.nodes < 2 && a.place == osu::Placement::InterNode ? 2 : a.nodes);
-  cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
-  const std::vector<std::size_t> sizes =
-      a.sizes.empty() ? std::vector<std::size_t>{4096, 65536, 1048576} : a.sizes;
+  osu::BenchConfig cfg = benchConfig(a, a.stack, a.place);
+  const std::vector<std::size_t> sizes = sizesOr(a, {4096, 65536, 1048576});
   RowEmitter out(a.json, "loss",
                  {"points",
                   {{"drop_percent", Fmt::Fixed1},
@@ -565,7 +647,6 @@ int runLoss(const Args& a) {
                                          : sim::FaultConfig{};
     for (const std::size_t bytes : sizes) {
       Recovery rc;
-      if (g_stream.active()) cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
       cfg.inspect = [&rc](hw::System& sys) {
         sys.obs.refresh();
         const obs::Registry& r = sys.obs.registry;
@@ -618,9 +699,9 @@ int runMatch(const Args& a) {
   const auto tagOf = [](int it, int i) { return static_cast<ucx::Tag>(it * 100000 + i); };
 
   {  // raw UCX worker
-    model::Model m = model::summit(nodes);
+    model::Model m = machine(a, nodes);
     hw::System sys(m.machine);
-    if (g_stream.active()) g_stream.apply(sys);
+    g_stream.apply(sys);
     ucx::Context ctx(sys, m.ucx);
     std::vector<std::byte> src(256), dst(256);
     for (int it = 0; it < iters; ++it) {
@@ -644,9 +725,9 @@ int runMatch(const Args& a) {
 
   {  // Charm++ machine layer: GPU transfers whose metadata receives ride
      // Worker::tagRecv under a full mask
-    model::Model m = model::summit(nodes);
+    model::Model m = machine(a, nodes);
     hw::System sys(m.machine);
-    if (g_stream.active()) g_stream.apply(sys);
+    g_stream.apply(sys);
     ucx::Context ctx(sys, m.ucx);
     cmi::Converse cmi(sys, ctx, m.costs);
     core::DeviceComm dev(cmi);
@@ -670,9 +751,9 @@ int runMatch(const Args& a) {
   }
 
   {  // AMPI: (src, tag, comm) matching over the bucketed rank queues
-    model::Model m = model::summit(nodes);
+    model::Model m = machine(a, nodes);
     hw::System sys(m.machine);
-    if (g_stream.active()) g_stream.apply(sys);
+    g_stream.apply(sys);
     ucx::Context ctx(sys, m.ucx);
     ck::Runtime rt(sys, ctx, m);
     ampi::World world(rt);
@@ -711,21 +792,6 @@ int runMatch(const Args& a) {
 // --metric breakdown: per-phase latency percentiles from lifecycle spans
 // --------------------------------------------------------------------------
 
-/// CLI identifier of a stack (lowercase, matches the --stack values).
-[[nodiscard]] const char* stackKey(osu::Stack s) {
-  switch (s) {
-    case osu::Stack::Charm:
-      return "charm";
-    case osu::Stack::Ampi:
-      return "ampi";
-    case osu::Stack::Ompi:
-      return "ompi";
-    case osu::Stack::Charm4py:
-      return "charm4py";
-  }
-  return "?";
-}
-
 /// Folds each retired span into an obs::Breakdown, so the percentiles
 /// accumulate without retaining the run.
 struct BreakdownSink final : obs::Sink {
@@ -745,11 +811,8 @@ struct BreakdownSink final : obs::Sink {
 /// the data movement, none of which the end-to-end latency figures can show.
 int runBreakdown(const Args& a) {
   const std::vector<osu::Stack> stacks =
-      a.stack_set ? std::vector<osu::Stack>{a.stack}
-                  : std::vector<osu::Stack>{osu::Stack::Charm, osu::Stack::Ampi,
-                                            osu::Stack::Charm4py};
-  const std::vector<std::size_t> sizes =
-      a.sizes.empty() ? std::vector<std::size_t>{4096, 65536, 1048576} : a.sizes;
+      stackList(a, true, {osu::Stack::Charm, osu::Stack::Ampi, osu::Stack::Charm4py});
+  const std::vector<std::size_t> sizes = sizesOr(a, {4096, 65536, 1048576});
 
   struct Row {
     const char* stack;
@@ -763,18 +826,7 @@ int runBreakdown(const Args& a) {
 
   for (const osu::Stack stack : stacks) {
     for (const std::size_t bytes : sizes) {
-      osu::BenchConfig cfg;
-      cfg.stack = stack;
-      cfg.mode = a.mode;
-      cfg.place = a.place;
-      cfg.iters = a.iters;
-      cfg.warmup = a.warmup;
-      cfg.model =
-          model::summit(a.nodes < 2 && a.place == osu::Placement::InterNode ? 2 : a.nodes);
-      cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
-      if (a.drop > 0.0) {
-        cfg.model.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
-      }
+      osu::BenchConfig cfg = benchConfig(a, stack, a.place);
       Row row{stackKey(stack), bytes, 0.0, {}};
       BreakdownSink bsink;
       bsink.b = &row.b;
@@ -861,28 +913,15 @@ int runBreakdown(const Args& a) {
 int runMultipath(const Args& a) {
   auto point = [&](osu::Placement place, std::size_t bytes, bool multipath, int bricks,
                    int rails) {
-    osu::BenchConfig cfg;
-    cfg.stack = a.stack;
+    osu::BenchConfig cfg = benchConfig(a, a.stack, place);
     cfg.mode = osu::Mode::Device;
-    cfg.place = place;
-    cfg.iters = a.iters;
-    cfg.warmup = a.warmup;
-    cfg.window = a.window;
-    cfg.model =
-        model::summit(std::max(a.nodes, place == osu::Placement::InterNode ? 2 : 1));
-    cfg.model.machine.backed_device_memory = false;  // timing-only run
     cfg.model.machine.nvlink_bricks = bricks;
     cfg.model.machine.nic_rails = rails;
     cfg.model.ucx.multipath.enabled = multipath;
-    if (g_stream.active()) {
-      cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
-      cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
-    }
     return osu::bandwidthPoint(cfg, bytes);
   };
 
-  std::vector<std::size_t> sizes = a.sizes;
-  if (sizes.empty()) sizes = {1u << 20, 4u << 20, 16u << 20};
+  const std::vector<std::size_t> sizes = sizesOr(a, {1u << 20, 4u << 20, 16u << 20});
   const int rail_counts[] = {1, 2, 4};
 
   bool ok = true;
@@ -956,12 +995,10 @@ sim::FutureTask collLoop(RankT r, hw::System* sys, void* src, void* dst, std::ui
 /// Steady-state us/iteration of a device-buffer allreduce on one stack.
 double collPoint(const Args& a, osu::Stack stack, coll::CollImpl impl, std::uint64_t bytes,
                  int warmup, int iters) {
-  const int nodes = std::max(a.nodes, (a.ranks + 5) / 6);
-  model::Model m = model::summit(nodes);
+  model::Model m = machine(a, std::max(a.nodes, (a.ranks + 5) / 6));
   m.machine.backed_device_memory = false;  // timing-only run
-  if (a.drop > 0.0) m.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
   hw::System sys(m.machine);
-  if (g_stream.active()) g_stream.apply(sys);
+  g_stream.apply(sys);
   ucx::Context ctx(sys, m.ucx);
   ck::Runtime rt(sys, ctx, m);
 
@@ -1030,20 +1067,13 @@ double collPoint(const Args& a, osu::Stack stack, coll::CollImpl impl, std::uint
 }
 
 int runColl(const Args& a) {
-  if (a.stack_set && a.stack == osu::Stack::Ompi) {
-    std::fprintf(stderr, "coll: stacks are ampi, charm, charm4py\n");
-    return 2;
-  }
   const std::vector<osu::Stack> stacks =
-      a.stack_set ? std::vector<osu::Stack>{a.stack}
-                  : std::vector<osu::Stack>{osu::Stack::Ampi, osu::Stack::Charm,
-                                            osu::Stack::Charm4py};
+      stackList(a, false, {osu::Stack::Ampi, osu::Stack::Charm, osu::Stack::Charm4py});
   const std::vector<coll::CollImpl> impls =
       a.impl_set ? std::vector<coll::CollImpl>{a.impl}
                  : std::vector<coll::CollImpl>{coll::CollImpl::Ring, coll::CollImpl::Tree,
                                                coll::CollImpl::Reference};
-  const std::vector<std::size_t> sizes =
-      a.sizes.empty() ? std::vector<std::size_t>{65536, 1048576, 4194304} : a.sizes;
+  const std::vector<std::size_t> sizes = sizesOr(a, {65536, 1048576, 4194304});
   const int warmup = 1;
   const int iters = std::min(a.iters, 10);
 
@@ -1069,40 +1099,10 @@ int runColl(const Args& a) {
 // --metric train: data-parallel SGD per-step anatomy
 // --------------------------------------------------------------------------
 
-/// CLI identifier of a training stack (matches the --stack values).
-[[nodiscard]] const char* trainKey(train::Stack s) {
-  switch (s) {
-    case train::Stack::Ampi:
-      return "ampi";
-    case train::Stack::Charm:
-      return "charm";
-    case train::Stack::Charm4py:
-      return "charm4py";
-  }
-  return "?";
-}
-
 int runTrainMetric(const Args& a) {
-  if (a.stack_set && a.stack == osu::Stack::Ompi) {
-    std::fprintf(stderr, "train: stacks are ampi, charm, charm4py\n");
-    return 2;
-  }
-  const std::vector<train::Stack> stacks =
-      a.stack_set ? std::vector<train::Stack>{a.stack == osu::Stack::Ampi ? train::Stack::Ampi
-                                              : a.stack == osu::Stack::Charm
-                                                  ? train::Stack::Charm
-                                                  : train::Stack::Charm4py}
-                  : std::vector<train::Stack>{train::Stack::Ampi, train::Stack::Charm,
-                                              train::Stack::Charm4py};
-  train::TrainConfig cfg;
-  cfg.ranks = a.ranks;
-  cfg.steps = a.steps;
-  cfg.nodes = std::max(a.nodes, (a.ranks + 5) / 6);
-  if (a.impl_set) cfg.coll.impl = a.impl;
-  cfg.host_staged = a.mode == osu::Mode::HostStaging;
-  // Span lines stream at retirement; attempts have no post-run hook, so the
-  // window aggregates of a training attempt are not emitted.
-  if (g_stream.active()) cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
+  const std::vector<osu::Stack> stacks =
+      stackList(a, false, {osu::Stack::Ampi, osu::Stack::Charm, osu::Stack::Charm4py});
+  const train::TrainConfig cfg = trainConfig(a);
 
   if (a.json) std::printf("{\"metric\":\"train\",\"points\":[");
   if (!a.json) {
@@ -1112,13 +1112,13 @@ int runTrainMetric(const Args& a) {
   }
   bool first = true;
   bool all_verified = true;
-  for (const train::Stack stack : stacks) {
+  for (const osu::Stack stack : stacks) {
     const train::TrainResult r = train::runTrain(cfg, stack);
     all_verified = all_verified && (r.verified || !cfg.verify);
     if (a.json) {
       std::printf("%s{\"stack\":\"%s\",\"ranks\":%d,\"buckets\":%d,\"verified\":%s,"
                   "\"avg_step_us\":%.1f,\"steady_overlap_ratio\":%.3f,\"steps\":[",
-                  first ? "" : ",", trainKey(stack), r.ranks, r.buckets,
+                  first ? "" : ",", stackKey(stack), r.ranks, r.buckets,
                   r.verified ? "true" : "false", r.avgStepUs(), r.avgOverlap());
       for (std::size_t s = 0; s < r.steps.size(); ++s) {
         const train::StepStat& st = r.steps[s];
@@ -1132,7 +1132,7 @@ int runTrainMetric(const Args& a) {
     } else {
       for (std::size_t s = 0; s < r.steps.size(); ++s) {
         const train::StepStat& st = r.steps[s];
-        std::printf("%s,%zu,%.1f,%.1f,%.1f,%.1f,%.3f,%.1f\n", trainKey(stack), s, st.step_us,
+        std::printf("%s,%zu,%.1f,%.1f,%.1f,%.1f,%.3f,%.1f\n", stackKey(stack), s, st.step_us,
                     st.compute_us, st.allreduce_wall_us, st.bucket_sum_us, st.overlapRatio(),
                     st.optimizer_us);
       }
@@ -1157,24 +1157,9 @@ int runTrainMetric(const Args& a) {
 /// state that is not bit-identical to the unfailed run's. CI's failure-sweep
 /// smoke step runs exactly this.
 int runFailstop(const Args& a) {
-  if (a.stack_set && a.stack == osu::Stack::Ompi) {
-    std::fprintf(stderr, "failstop: stacks are ampi, charm, charm4py\n");
-    return 2;
-  }
-  const std::vector<train::Stack> stacks =
-      a.stack_set ? std::vector<train::Stack>{a.stack == osu::Stack::Ampi ? train::Stack::Ampi
-                                              : a.stack == osu::Stack::Charm
-                                                  ? train::Stack::Charm
-                                                  : train::Stack::Charm4py}
-                  : std::vector<train::Stack>{train::Stack::Ampi, train::Stack::Charm,
-                                              train::Stack::Charm4py};
-  train::TrainConfig cfg;
-  cfg.ranks = a.ranks;
-  cfg.steps = a.steps;
-  cfg.nodes = std::max(a.nodes, (a.ranks + 5) / 6);
-  if (a.impl_set) cfg.coll.impl = a.impl;
-  cfg.host_staged = a.mode == osu::Mode::HostStaging;
-  if (g_stream.active()) cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
+  const std::vector<osu::Stack> stacks =
+      stackList(a, false, {osu::Stack::Ampi, osu::Stack::Charm, osu::Stack::Charm4py});
+  const train::TrainConfig cfg = trainConfig(a);
 
   RowEmitter out(a.json, "failstop",
                  {"points",
@@ -1187,7 +1172,7 @@ int runFailstop(const Args& a) {
                    {"verified", Fmt::Flag},
                    {"status", Fmt::Text}}});
   bool ok_all = true;
-  for (const train::Stack stack : stacks) {
+  for (const osu::Stack stack : stacks) {
     const train::TrainResult base = train::runTrain(cfg, stack);
     // Kill a non-root worker at 40% of the unfailed run's virtual wall time:
     // safely mid-run, so collectives are still outstanding and the abort +
@@ -1201,7 +1186,7 @@ int runFailstop(const Args& a) {
                     rec.hung_ranks == 0 && rec.verified && rec.recovered && rec.restarts >= 1 &&
                     rec.completed_steps == cfg.steps && digest_match;
     ok_all = ok_all && ok;
-    out.row(trainKey(stack), fcfg.fault.kill_at_us, rec.restarts, rec.completed_steps,
+    out.row(stackKey(stack), fcfg.fault.kill_at_us, rec.restarts, rec.completed_steps,
             rec.hung_ranks, digest_match, rec.verified, ok ? "ok" : "FAIL");
   }
   out.finish();
@@ -1258,11 +1243,8 @@ struct CritSink final : obs::Sink {
 /// (repeated on every iteration row of the point).
 int runProfile(const Args& a) {
   const std::vector<osu::Stack> stacks =
-      a.stack_set ? std::vector<osu::Stack>{a.stack}
-                  : std::vector<osu::Stack>{osu::Stack::Charm, osu::Stack::Ampi,
-                                            osu::Stack::Charm4py};
-  const std::vector<std::size_t> sizes =
-      a.sizes.empty() ? std::vector<std::size_t>{4096, 65536, 1048576} : a.sizes;
+      stackList(a, true, {osu::Stack::Charm, osu::Stack::Ampi, osu::Stack::Charm4py});
+  const std::vector<std::size_t> sizes = sizesOr(a, {4096, 65536, 1048576});
 
   struct Point {
     const char* stack = "";
@@ -1279,18 +1261,7 @@ int runProfile(const Args& a) {
 
   for (const osu::Stack stack : stacks) {
     for (const std::size_t bytes : sizes) {
-      osu::BenchConfig cfg;
-      cfg.stack = stack;
-      cfg.mode = a.mode;
-      cfg.place = a.place;
-      cfg.iters = a.iters;
-      cfg.warmup = a.warmup;
-      cfg.model =
-          model::summit(a.nodes < 2 && a.place == osu::Placement::InterNode ? 2 : a.nodes);
-      cfg.model.ucx.gdrcopy_enabled = a.gdrcopy;
-      if (a.drop > 0.0) {
-        cfg.model.machine.fault = sim::FaultConfig::uniformLoss(a.drop, a.fault_seed);
-      }
+      osu::BenchConfig cfg = benchConfig(a, stack, a.place);
       obs::CritPathConfig ccfg;
       ccfg.gpus_per_node = cfg.model.machine.gpus_per_node;
       ccfg.host_staged = a.mode == osu::Mode::HostStaging;
