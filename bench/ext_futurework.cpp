@@ -59,8 +59,8 @@ double baseline(std::size_t n) {
   s.cmi->runOn(kSrc, [&] {
     core::CmiDeviceBuffer buf{a.get(), n, 0};
     s.dev->lrtsSendDevice(kSrc, kDst, buf);
-    std::vector<std::byte> meta(8);
-    std::memcpy(meta.data(), &buf.tag, 8);
+    std::vector<std::byte> meta(cmi::Message::kHeaderBytes + 8);
+    std::memcpy(meta.data() + cmi::Message::kHeaderBytes, &buf.tag, 8);
     s.cmi->send(kSrc, kDst, h, std::move(meta));
   });
   s.sys->engine.run();

@@ -43,16 +43,19 @@ struct BucketDef {
   return out;
 }
 
-/// The analytic gradient value layer l writes at element j on `rank`.
+/// The analytic gradient value layer l writes at element j on `rank`. It is
+/// periodic in j with period kGradPeriod.
+constexpr std::uint64_t kGradPeriod = 5;
 [[nodiscard]] double gradValue(int rank, int l, std::uint64_t j) {
   return static_cast<double>(rank + 1) +
-         static_cast<double>((static_cast<std::uint64_t>(l) * 31 + j) % 5);
+         static_cast<double>((static_cast<std::uint64_t>(l) * 31 + j) % kGradPeriod);
 }
 /// Its allreduce(Sum) result over n ranks — integer-valued, so the sum is
 /// exact in any combination order and bitwise identical on every replica.
 [[nodiscard]] double gradSum(int n, int l, std::uint64_t j) {
   return static_cast<double>(n) * static_cast<double>(n + 1) / 2.0 +
-         static_cast<double>(n) * static_cast<double>((static_cast<std::uint64_t>(l) * 31 + j) % 5);
+         static_cast<double>(n) *
+             static_cast<double>((static_cast<std::uint64_t>(l) * 31 + j) % kGradPeriod);
 }
 
 /// Persistent sampled weights carried per layer. The simulation keeps a
@@ -245,8 +248,14 @@ sim::FutureTask trainMain(RankT r, LaneFn laneRank, Shared* sh, RankCtx* me) {
         me->compute->launch(kernelCost(sys, params, cfg.bwd_bytes_per_param),
                             [real, gbase, params, rank, l] {
                               if (!real) return;
-                              for (std::uint64_t j = 0; j < params; ++j) {
-                                gbase[j] = gradValue(rank, l, j);
+                              // Fill from one period of the pattern.
+                              double period[kGradPeriod];
+                              for (std::uint64_t k = 0; k < kGradPeriod; ++k) {
+                                period[k] = gradValue(rank, l, k);
+                              }
+                              for (std::uint64_t j = 0, k = 0; j < params; ++j) {
+                                gbase[j] = period[k];
+                                if (++k == kGradPeriod) k = 0;
                               }
                             });
       }
@@ -377,7 +386,8 @@ struct AttemptOutcome {
 
 AttemptOutcome runAttempt(const TrainConfig& cfg, Stack stack, int start_step, bool inject,
                           CheckpointStore& store, std::vector<StepStat>& stats_out) {
-  model::Model m = model::summit(cfg.nodes);
+  model::Model m = cfg.model;
+  m.machine.num_nodes = cfg.nodes;
   if (inject) m.machine.fault.killPe(cfg.fault.kill_pe, sim::usec(cfg.fault.kill_at_us));
   hw::System sys(m.machine);
   if (cfg.setup) cfg.setup(sys);

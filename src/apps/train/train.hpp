@@ -6,6 +6,7 @@
 
 #include "apps/osu/osu.hpp"
 #include "coll/coll.hpp"
+#include "model/model.hpp"
 
 /// \file train.hpp
 /// Synchronous data-parallel SGD in the ChainerMN style (the paper's Python
@@ -92,6 +93,9 @@ struct TrainConfig {
   int checkpoint_every = 1;
   /// Restart attempts allowed before the job is declared failed.
   int max_restarts = 3;
+  /// Machine every attempt is built from, resized to `nodes`; the first
+  /// attempt adds `fault`'s PE failure to its fault schedule.
+  model::Model model = model::summit(2);
   /// Called with each freshly constructed simulated machine (one per
   /// attempt) before any traffic runs — the hook for span
   /// collection or utilization recording.

@@ -46,8 +46,7 @@ void Runtime::dispatch(cmi::Message msg) {
 
 void Runtime::packBuffer(Packer& p, const Buffer& b, int src_pe, int dst_pe,
                          std::uint64_t& inline_bulk) {
-  const bool rndv = sys_.memory.isDevice(b.source()) || b.size() >= costs().host_pack_threshold;
-  if (rndv) {
+  if (rendezvous(b)) {
     p.pack(static_cast<std::uint8_t>(Buffer::Mode::Rndv));
     p.pack(b.size());
     core::CmiDeviceBuffer cdb{b.source(), b.size(), 0};

@@ -199,6 +199,14 @@ class Runtime {
                                  std::size_t);
 
   void dispatch(cmi::Message msg);
+  /// Device and large host buffers rendezvous; small host buffers are packed.
+  [[nodiscard]] bool rendezvous(const Buffer& b) const {
+    return sys_.memory.isDevice(b.source()) || b.size() >= costs().host_pack_threshold;
+  }
+  /// Bytes packBuffer() appends for `b`: mode, size, then the tag or the data.
+  [[nodiscard]] std::size_t packedBufferBytes(const Buffer& b) const {
+    return 1 + sizeof(std::uint64_t) + (rendezvous(b) ? sizeof(std::uint64_t) : b.size());
+  }
   /// Packs one Buffer argument: rendezvous (device or large host) buffers go
   /// through LrtsSendDevice; small host buffers are packed inline.
   void packBuffer(Packer& p, const Buffer& b, int src_pe, int dst_pe,
@@ -268,7 +276,19 @@ void Runtime::sendFrom(int src_pe, ChareId dst, Args&&... args) {
   static_assert(sizeof...(Args) == Traits::arity, "argument count mismatch");
   assert(src_pe >= 0 && src_pe < numPes());
 
-  Packer p;
+  // Sized up front, with room for the Converse header: every byte of the
+  // message is written once, into one allocation.
+  std::size_t bytes = cmi::Message::kHeaderBytes + 3 * sizeof(std::uint32_t);
+  (
+      [&] {
+        if constexpr (detail::is_buffer_v<Args>) {
+          bytes += packedBufferBytes(args);
+        } else {
+          bytes += packedSize(args);
+        }
+      }(),
+      ...);
+  Packer p(cmi::Message::kHeaderBytes, bytes);
   p.pack(dst.index);
   p.pack(detail::entryId<M>());
   constexpr std::uint32_t nbuf = detail::bufferCount<Tuple>();

@@ -31,8 +31,32 @@ template <class T>
 concept Packable = TriviallyPackable<T> || IsPupVector<T>::value ||
                    std::is_same_v<T, std::string>;
 
+/// Bytes Packer::pack(v) appends for `v`, so a message can be sized before
+/// it is packed.
+template <TriviallyPackable T>
+[[nodiscard]] constexpr std::size_t packedSize(const T&) noexcept {
+  return sizeof(T);
+}
+template <class T, class A>
+  requires TriviallyPackable<T>
+[[nodiscard]] std::size_t packedSize(const std::vector<T, A>& v) noexcept {
+  return sizeof(std::uint64_t) + v.size() * sizeof(T);
+}
+[[nodiscard]] inline std::size_t packedSize(const std::string& s) noexcept {
+  return sizeof(std::uint64_t) + s.size();
+}
+
 class Packer {
  public:
+  Packer() = default;
+  /// Starts the message with `head` bytes that a lower layer fills in later
+  /// (the Converse header) and room for `capacity` bytes in total, so a
+  /// message sized up front is allocated once and each byte written once.
+  Packer(std::size_t head, std::size_t capacity) {
+    buf_.reserve(capacity);
+    buf_.resize(head);
+  }
+
   template <TriviallyPackable T>
   void pack(const T& v) {
     raw(&v, sizeof(T));
@@ -55,10 +79,8 @@ class Packer {
   }
 
   void raw(const void* p, std::size_t n) {
-    if (n == 0) return;
-    const std::size_t off = buf_.size();
-    buf_.resize(off + n);
-    std::memcpy(buf_.data() + off, p, n);
+    const auto* b = static_cast<const std::byte*>(p);
+    buf_.insert(buf_.end(), b, b + n);
   }
 
   /// Appends `n` zero bytes (placeholder for unbacked source data).
@@ -86,16 +108,24 @@ class Unpacker {
       read(&v, sizeof(T));
       return v;
     } else if constexpr (IsPupVector<T>::value) {
+      using E = typename T::value_type;
       const auto n = unpack<std::uint64_t>();
-      T v(n);
-      read(v.data(), n * sizeof(typename T::value_type));
-      return v;
+      if constexpr (sizeof(E) == 1) {
+        // Byte vectors are built straight from the message range.
+        const auto* b = reinterpret_cast<const E*>(cursor());
+        skip(n);
+        return T(b, b + n);
+      } else {
+        T v(n);
+        read(v.data(), n * sizeof(E));
+        return v;
+      }
     } else {
       static_assert(std::is_same_v<T, std::string>, "type not packable");
       const auto n = unpack<std::uint64_t>();
-      std::string s(n, '\0');
-      read(s.data(), n);
-      return s;
+      const auto* b = reinterpret_cast<const char*>(cursor());
+      skip(n);
+      return std::string(b, n);
     }
   }
 

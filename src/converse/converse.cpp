@@ -37,15 +37,13 @@ int Converse::registerHandler(HandlerFn fn) {
   return static_cast<int>(handlers_.size()) - 1;
 }
 
-void Converse::send(int src_pe, int dst_pe, int handler, std::vector<std::byte> payload) {
+void Converse::send(int src_pe, int dst_pe, int handler, std::vector<std::byte> raw) {
   assert(handler >= 0 && handler < static_cast<int>(handlers_.size()));
-  // Prepend the Converse header in place.
-  std::vector<std::byte> raw(Message::kHeaderBytes + payload.size());
+  assert(raw.size() >= Message::kHeaderBytes && "send() needs room for the header");
   const auto h32 = static_cast<std::uint32_t>(handler);
   const auto s32 = static_cast<std::uint32_t>(src_pe);
   std::memcpy(raw.data(), &h32, 4);
   std::memcpy(raw.data() + 4, &s32, 4);
-  if (!payload.empty()) std::memcpy(raw.data() + Message::kHeaderBytes, payload.data(), payload.size());
 
   // The send call occupies the sending PE; the message is injected into UCX
   // once the PE's preceding software work (including this call's cost) has

@@ -59,10 +59,12 @@ class Converse {
   /// Registers a message handler; returns its id (CmiRegisterHandler).
   int registerHandler(HandlerFn fn);
 
-  /// Sends `payload` from `src_pe` to handler `handler` on `dst_pe`
-  /// (CmiSyncSendAndFree). The sender PE is charged the Converse send cost;
-  /// delivery charges the scheduler-pickup cost on the destination PE.
-  void send(int src_pe, int dst_pe, int handler, std::vector<std::byte> payload);
+  /// Sends `raw` from `src_pe` to handler `handler` on `dst_pe`
+  /// (CmiSyncSendAndFree). `raw` starts with Message::kHeaderBytes of room
+  /// that send() fills with the header, so the payload is never copied to
+  /// prepend it. The sender PE is charged the Converse send cost; delivery
+  /// charges the scheduler-pickup cost on the destination PE.
+  void send(int src_pe, int dst_pe, int handler, std::vector<std::byte> raw);
 
   /// Runs `fn` on `pe` as if a local message had been scheduled (used to
   /// bootstrap programs and to serialise completion callbacks onto PEs).

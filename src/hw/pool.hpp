@@ -12,10 +12,10 @@
 /// Caching device-memory pool in the CuPy / PyTorch-caching-allocator style:
 /// freed blocks are kept in per-(device, backed, size-class) freelists and
 /// handed back to later allocations of the same class instead of going
-/// through the registry (which, for unbacked regions, costs an mmap/mprotect
-/// round trip per allocation). Sizes round up to 512-byte bins, so a training
-/// step that frees and reallocates its gradient buckets reuses the same
-/// regions every iteration — the steady state allocates nothing.
+/// through the registry (a heap allocation per backed region). Sizes round
+/// up to 512-byte bins, so a training step that frees and reallocates its
+/// gradient buckets reuses the same regions every iteration — the steady
+/// state allocates nothing.
 ///
 /// The pool is time-free: it models no virtual-time cost, it removes *real*
 /// allocation churn (same contract as the PR-4 request arena) and exposes

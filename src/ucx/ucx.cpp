@@ -1167,24 +1167,22 @@ void Worker::deliverToHandler(HandlerFn& fn, Incoming msg) {
     engine.schedule(t, [fp, d = std::move(d)]() mutable { (*fp)(std::move(d)); });
     return;
   }
-  // Rendezvous into a handler: pull into a fresh owned buffer.
-  auto storage = std::make_shared<std::vector<std::byte>>();
+  // Rendezvous into a handler: the payload is copied once, into the
+  // Delivery's own host buffer, when the data has arrived. rndvTransfer only
+  // classifies the destination, and nullptr classifies as host memory too.
   const bool src_deref = ctx.system().memory.dereferenceable(msg.src_ptr);
-  if (src_deref) storage->resize(msg.len);
   const Tag tag = msg.tag;
   const int src_pe = msg.src_pe;
   const std::uint64_t len = msg.len;
-  const void* src = msg.src_ptr;
-  const Context::RndvResult res =
-      ctx.rndvTransfer(msg, pe_, storage->empty() ? nullptr : storage->data());
+  const auto* src = static_cast<const std::byte*>(msg.src_ptr);
+  const Context::RndvResult res = ctx.rndvTransfer(msg, pe_, /*dst_buf=*/nullptr);
   if (!res.ok) return;  // transfer failed permanently; the sender saw Error
   const sim::TimePoint done = res.data_arrival + sim::usec(ctx.config().recv_overhead_us);
   HandlerFn* fp = &fn;
-  engine.schedule(done, [fp, storage, src_deref, src, len, tag, src_pe,
+  engine.schedule(done, [fp, src_deref, src, len, tag, src_pe,
                          owner = std::move(msg.payload_owner)] {
-    if (src_deref && len > 0) std::memcpy(storage->data(), src, len);
     Delivery d;
-    d.payload = std::move(*storage);
+    if (src_deref) d.payload.assign(src, src + len);
     d.payload_valid = src_deref;
     d.tag = tag;
     d.src_pe = src_pe;

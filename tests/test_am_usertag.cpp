@@ -226,8 +226,8 @@ TEST(UserTag, PrePostingBeatsMetadataLatency) {
       f.cmi->runOn(0, [&, h] {
         core::CmiDeviceBuffer buf{a.get(), n, 0};
         f.dev->lrtsSendDevice(0, 6, buf);
-        std::vector<std::byte> meta(8);
-        std::memcpy(meta.data(), &buf.tag, 8);
+        std::vector<std::byte> meta(cmi::Message::kHeaderBytes + 8);
+        std::memcpy(meta.data() + cmi::Message::kHeaderBytes, &buf.tag, 8);
         f.cmi->send(0, 6, h, std::move(meta));
       });
     }

@@ -99,9 +99,10 @@ struct CoreFixture {
   std::unique_ptr<core::DeviceComm> dev;
 };
 
+/// A Converse message carrying `s`: header room, then the bytes of `s`.
 std::vector<std::byte> bytesOf(const char* s) {
-  std::vector<std::byte> v(std::strlen(s));
-  std::memcpy(v.data(), s, v.size());
+  std::vector<std::byte> v(cmi::Message::kHeaderBytes + std::strlen(s));
+  std::memcpy(v.data() + cmi::Message::kHeaderBytes, s, std::strlen(s));
   return v;
 }
 
@@ -134,7 +135,7 @@ TEST(Converse, CurrentPeTracksHandlerExecution) {
   const int h = f.cmi->registerHandler([&](cmi::Message) { seen_pe = f.cmi->currentPe(); });
   f.cmi->runOn(0, [&] {
     EXPECT_EQ(f.cmi->currentPe(), 0);
-    f.cmi->send(0, 9, h, {});
+    f.cmi->send(0, 9, h, std::vector<std::byte>(cmi::Message::kHeaderBytes));
   });
   f.sys->engine.run();
   EXPECT_EQ(seen_pe, 9);
@@ -151,8 +152,8 @@ TEST(Converse, MessagesBetweenSamePairStayOrdered) {
   });
   f.cmi->runOn(0, [&] {
     for (int i = 0; i < 20; ++i) {
-      std::vector<std::byte> p(4);
-      std::memcpy(p.data(), &i, 4);
+      std::vector<std::byte> p(cmi::Message::kHeaderBytes + 4);
+      std::memcpy(p.data() + cmi::Message::kHeaderBytes, &i, 4);
       f.cmi->send(0, 1, h, std::move(p));
     }
   });
@@ -170,7 +171,8 @@ TEST(Converse, LargePayloadsTravelByRendezvous) {
   const int h = f.cmi->registerHandler([&](cmi::Message msg) {
     got.assign(msg.payload().begin(), msg.payload().end());
   });
-  auto copy = big;
+  std::vector<std::byte> copy(cmi::Message::kHeaderBytes);
+  copy.insert(copy.end(), big.begin(), big.end());
   f.cmi->runOn(0, [&f, h, copy = std::move(copy)]() mutable {
     f.cmi->send(0, 6, h, std::move(copy));
   });

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <new>
 #include <vector>
 
 #include "hw/cuda.hpp"
@@ -171,7 +172,7 @@ TEST(Memory, DeviceAllocClassifies) {
 
 TEST(Memory, UnbackedAllocationsAreNotDereferenceable) {
   hw::System sys(summitCfg(1));
-  void* p = cuda::deviceAlloc(sys, 0, 1u << 30, /*backed=*/false);  // 1 GB, address space only
+  void* p = cuda::deviceAlloc(sys, 0, 1u << 30, /*backed=*/false);  // 1 GB, nothing behind it
   EXPECT_TRUE(sys.memory.isDevice(p));
   EXPECT_FALSE(sys.memory.dereferenceable(p));
   cuda::deviceFree(sys, p);
@@ -226,6 +227,97 @@ TEST(Memory, ManyAllocationsTracked) {
   for (void* p : ptrs) cuda::deviceFree(sys, p);
   EXPECT_EQ(sys.memory.liveAllocations(), 0u);
   EXPECT_EQ(sys.memory.bytesAllocated(), 0u);
+}
+
+TEST(Memory, UnbackedInteriorAndOnePastEnd) {
+  hw::System sys(summitCfg(1));
+  auto* a = static_cast<char*>(sys.memory.allocDevice(2, 4096, /*backed=*/false));
+  auto* b = static_cast<char*>(sys.memory.allocDevice(4, 4096, /*backed=*/false));
+  EXPECT_EQ(sys.memory.deviceOf(a), 2);
+  EXPECT_EQ(sys.memory.deviceOf(a + 4095), 2);
+  EXPECT_FALSE(sys.memory.dereferenceable(a + 4095));
+  // One past the end is in no region, not in the next one.
+  EXPECT_EQ(sys.memory.find(a + 4096), nullptr);
+  EXPECT_EQ(sys.memory.deviceOf(a + 4096), -1);
+  EXPECT_EQ(sys.memory.deviceOf(b), 4);
+  EXPECT_EQ(sys.memory.find(b + 100)->base, reinterpret_cast<std::uintptr_t>(b));
+  sys.memory.freeDevice(a);
+  sys.memory.freeDevice(b);
+}
+
+TEST(Memory, UnbackedSlotIsReusedAfterFree) {
+  hw::System sys(summitCfg(1));
+  void* a = sys.memory.allocDevice(1, 256, /*backed=*/false);
+  void* b = sys.memory.allocDevice(1, 256, /*backed=*/false);
+  sys.memory.freeDevice(a);
+  EXPECT_EQ(sys.memory.find(a), nullptr);
+  EXPECT_TRUE(sys.memory.isDevice(b));
+  // The freed slot is taken again, with the new region's size and space.
+  void* c = sys.memory.allocHostUnbacked(64);
+  EXPECT_EQ(c, a);
+  EXPECT_FALSE(sys.memory.isDevice(c));
+  EXPECT_FALSE(sys.memory.dereferenceable(c));
+  EXPECT_EQ(sys.memory.find(static_cast<char*>(c) + 64), nullptr);
+  EXPECT_EQ(sys.memory.deviceOf(b), 1);
+  sys.memory.freeDevice(b);
+  sys.memory.freeDevice(c);
+}
+
+TEST(Memory, LiveAllocationsAndBytesCountBothKinds) {
+  hw::System sys(summitCfg(1));
+  void* backed = sys.memory.allocDevice(0, 1000, /*backed=*/true);
+  void* dev = sys.memory.allocDevice(0, std::size_t{1} << 34, /*backed=*/false);
+  void* host = sys.memory.allocHostUnbacked(500);
+  EXPECT_EQ(sys.memory.liveAllocations(), 3u);
+  EXPECT_EQ(sys.memory.bytesAllocated(), 1000u + (std::uint64_t{1} << 34) + 500u);
+  sys.memory.freeDevice(dev);
+  EXPECT_EQ(sys.memory.liveAllocations(), 2u);
+  EXPECT_EQ(sys.memory.bytesAllocated(), 1500u);
+  sys.memory.freeDevice(backed);
+  sys.memory.freeDevice(host);
+  EXPECT_EQ(sys.memory.liveAllocations(), 0u);
+  EXPECT_EQ(sys.memory.bytesAllocated(), 0u);
+}
+
+TEST(Memory, OversizedUnbackedRegionThrows) {
+  hw::System sys(summitCfg(1));
+  constexpr std::size_t kMax = hw::MemoryRegistry::kMaxUnbackedBytes;
+  EXPECT_THROW((void)sys.memory.allocDevice(0, kMax + 1, /*backed=*/false), std::bad_alloc);
+  EXPECT_THROW((void)sys.memory.allocHostUnbacked(kMax + 1), std::bad_alloc);
+  EXPECT_EQ(sys.memory.liveAllocations(), 0u);
+  EXPECT_EQ(sys.memory.bytesAllocated(), 0u);
+  // The largest region fits, and its last byte stays inside it.
+  auto* p = static_cast<char*>(sys.memory.allocDevice(5, kMax, /*backed=*/false));
+  EXPECT_EQ(sys.memory.deviceOf(p + (kMax - 1)), 5);
+  sys.memory.freeDevice(p);
+}
+
+TEST(Memory, FullSlotTableThrowsInsteadOfAliasing) {
+  hw::System sys(summitCfg(1));
+  constexpr std::size_t kSlots = hw::MemoryRegistry::kMaxUnbackedRegions;
+  std::vector<void*> ptrs;
+  ptrs.reserve(kSlots);
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    ptrs.push_back(sys.memory.allocDevice(static_cast<int>(i % 6), 8, /*backed=*/false));
+  }
+  EXPECT_THROW((void)sys.memory.allocDevice(0, 8, /*backed=*/false), std::bad_alloc);
+  EXPECT_THROW((void)sys.memory.allocHostUnbacked(8), std::bad_alloc);
+  EXPECT_EQ(sys.memory.liveAllocations(), kSlots);
+  EXPECT_EQ(sys.memory.deviceOf(ptrs.back()), static_cast<int>((kSlots - 1) % 6));
+  // Freeing one region makes room for exactly one more.
+  sys.memory.freeDevice(ptrs[7]);
+  EXPECT_EQ(sys.memory.allocHostUnbacked(8), ptrs[7]);
+  EXPECT_THROW((void)sys.memory.allocHostUnbacked(8), std::bad_alloc);
+}
+
+TEST(MemoryDeathTest, DereferencingAnUnbackedPointerFaults) {
+  hw::System sys(summitCfg(1));
+  auto* dev = static_cast<volatile char*>(sys.memory.allocDevice(0, 64, /*backed=*/false));
+  auto* host = static_cast<volatile char*>(sys.memory.allocHostUnbacked(64));
+  EXPECT_DEATH((void)dev[0], "");
+  EXPECT_DEATH((void)host[63], "");
+  sys.memory.freeDevice(const_cast<char*>(dev));
+  sys.memory.freeDevice(const_cast<char*>(host));
 }
 
 // --------------------------------------------------------------------------

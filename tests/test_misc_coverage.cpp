@@ -172,8 +172,8 @@ TEST(SmpOrdering, MessagesBetweenPairStayFifoThroughCommThread) {
   });
   cmi.runOn(0, [&] {
     for (int i = 0; i < 15; ++i) {
-      std::vector<std::byte> p(4);
-      std::memcpy(p.data(), &i, 4);
+      std::vector<std::byte> p(cmi::Message::kHeaderBytes + 4);
+      std::memcpy(p.data() + cmi::Message::kHeaderBytes, &i, 4);
       cmi.send(0, 3, h, std::move(p));
     }
   });

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "apps/train/train.hpp"
+#include "hw/system.hpp"
 
 /// Data-parallel training workload: gradient correctness, backward/allreduce
 /// overlap, and pool reuse, on all three stacks.
@@ -104,6 +105,48 @@ TEST(Train, NonPowerOfTwoWorkerCount) {
     const train::TrainResult res = train::runTrain(cfg, s);
     EXPECT_TRUE(res.verified) << osu::name(s);
   }
+}
+
+TEST(Train, ConfiguredMachineReachesEveryAttempt) {
+  // A fail-stop run: the configured fault seed and loss reach every
+  // attempt's machine; the PE failure is added on top for the first one.
+  train::TrainConfig cfg = smallConfig();
+  cfg.model.machine.fault = sim::FaultConfig::uniformLoss(0.01, 4242);
+  const double unfailed_us = train::runTrain(cfg, train::Stack::Ampi).total_us;
+  cfg.fault.kill_pe = 1;
+  cfg.fault.kill_at_us = unfailed_us * 0.4;
+  std::vector<sim::FaultConfig> seen;
+  std::vector<int> nodes;
+  cfg.setup = [&](hw::System& sys) {
+    seen.push_back(sys.config.fault);
+    nodes.push_back(sys.config.num_nodes);
+  };
+  const train::TrainResult res = train::runTrain(cfg, train::Stack::Ampi);
+  ASSERT_GE(seen.size(), 2u) << "the injected failure should force a restart";
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_TRUE(seen[i].enabled);
+    EXPECT_EQ(seen[i].seed, 4242u);
+    EXPECT_EQ(seen[i].policy[0].drop_prob, 0.01);
+    EXPECT_EQ(nodes[i], cfg.nodes);
+    EXPECT_EQ(seen[i].pe_failures.size(), i == 0 ? 1u : 0u);
+  }
+  EXPECT_TRUE(res.recovered);
+  EXPECT_TRUE(res.verified);
+}
+
+TEST(Train, ConfiguredGdrCopySettingReachesTheMachine) {
+  // Layers small enough that every allreduce chunk is a device eager
+  // message, whose staging GDRCopy speeds up.
+  train::TrainConfig cfg = smallConfig();
+  cfg.steps = 2;
+  cfg.layer_params = {64, 64, 64};
+  cfg.bucket_bytes = 512;
+  const train::TrainResult with = train::runTrain(cfg, train::Stack::Ampi);
+  cfg.model.ucx.gdrcopy_enabled = false;
+  const train::TrainResult without = train::runTrain(cfg, train::Stack::Ampi);
+  EXPECT_TRUE(with.verified);
+  EXPECT_TRUE(without.verified);
+  EXPECT_LT(with.avgStepUs(), without.avgStepUs());
 }
 
 TEST(Train, OpenMpiHasNoTrainingDriver) {

@@ -150,14 +150,14 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "                                      if the speedup misses the acceptance\n"
       "                                      bars; uses --sizes, --stack, --iters,\n"
       "                                      --warmup, --window, --nodes,\n"
-      "                                      --no-gdrcopy, --drop)\n"
+      "                                      --no-gdrcopy, --drop; device mode only)\n"
       "                                      (failstop: fail-stop recovery smoke —\n"
       "                                      trains each stack failure-free, then with\n"
       "                                      a PE killed mid-run; checks the detector-\n"
       "                                      driven abort, checkpoint/restart, and\n"
       "                                      bit-identical final model state; exits\n"
       "                                      nonzero on hang or mismatch; uses\n"
-      "                                      --ranks, --steps, --impl)\n"
+      "                                      --ranks, --steps, --impl, --no-gdrcopy)\n"
       "                                      (coll: pipelined allreduce per stack —\n"
       "                                      steady-state us/iteration per size and\n"
       "                                      algorithm; uses --ranks, --impl, --sizes,\n"
@@ -166,7 +166,7 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "                                      (train: data-parallel SGD per-step\n"
       "                                      anatomy — compute, bucket allreduce\n"
       "                                      union vs sum, overlap ratio; uses\n"
-      "                                      --ranks, --steps, --impl)\n"
+      "                                      --ranks, --steps, --impl, --no-gdrcopy)\n"
       "                                      (match: tag-matching engine occupancy\n"
       "                                      per stack — posted/unexpected\n"
       "                                      high-watermarks, bucket counts, longest\n"
@@ -348,6 +348,8 @@ Args parse(int argc, char** argv) {
   // sweeps its own rates, and match, train and failstop run loss-free.
   if (!a.perfetto.empty() && a.metric != "breakdown" && a.metric != "profile") usage(argv[0]);
   if (drops_set && a.metric != "loss") usage(argv[0]);
+  // Multi-path routing applies only between device buffers.
+  if (a.metric == "multipath" && a.mode != osu::Mode::Device) usage(argv[0]);
   if (drop_set && (a.metric == "loss" || a.metric == "match" || a.metric == "train" ||
                    a.metric == "failstop")) {
     usage(argv[0]);
@@ -567,6 +569,7 @@ train::TrainConfig trainConfig(const Args& a) {
   cfg.ranks = a.ranks;
   cfg.steps = a.steps;
   cfg.nodes = std::max(a.nodes, (a.ranks + 5) / 6);
+  cfg.model = machine(a, cfg.nodes);
   if (a.impl_set) cfg.coll.impl = a.impl;
   cfg.host_staged = a.mode == osu::Mode::HostStaging;
   if (g_stream.active()) cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
@@ -914,7 +917,6 @@ int runMultipath(const Args& a) {
   auto point = [&](osu::Placement place, std::size_t bytes, bool multipath, int bricks,
                    int rails) {
     osu::BenchConfig cfg = benchConfig(a, a.stack, place);
-    cfg.mode = osu::Mode::Device;
     cfg.model.machine.nvlink_bricks = bricks;
     cfg.model.machine.nic_rails = rails;
     cfg.model.ucx.multipath.enabled = multipath;
