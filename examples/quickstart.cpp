@@ -33,9 +33,12 @@ struct MyChare : ck::Chare {
 
   // Regular entry method: the GPU data is available (paper Fig. 4 (3)).
   void recv(ck::Buffer data, std::uint64_t size) {
-    std::printf("[pe %d] regular entry at t=%.2f us: received %llu bytes on GPU (ptr=%p)\n",
-                myPe(), sim::toUs(ckRuntime().system().engine.now()),
-                static_cast<unsigned long long>(size), data.data());
+    // Report where the data landed, not its address: the address differs
+    // from run to run, the placement does not.
+    std::printf("[pe %d] regular entry at t=%.2f us: received %llu bytes %s\n", myPe(),
+                sim::toUs(ckRuntime().system().engine.now()),
+                static_cast<unsigned long long>(size),
+                data.data() == recv_gpu_data ? "in the posted GPU buffer" : "ELSEWHERE");
     const auto* bytes = static_cast<const unsigned char*>(data.data());
     std::printf("[pe %d] first bytes: %02x %02x %02x %02x\n", myPe(), bytes[0], bytes[1],
                 bytes[2], bytes[3]);

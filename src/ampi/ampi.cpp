@@ -4,6 +4,7 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -111,12 +112,9 @@ sim::Future<void> Rank::recv(void* buf, std::uint64_t bytes, int src, int tag, c
 }
 sim::Future<int> Rank::waitAny(const std::vector<Request>& rs) {
   sim::Promise<int> done;
-  auto fired = std::make_shared<bool>(false);
   for (std::size_t i = 0; i < rs.size(); ++i) {
-    rs[i].future().onReady([done, fired, i] {
-      if (*fired) return;
-      *fired = true;
-      done.set(static_cast<int>(i));
+    rs[i].future().onReady([done, i] {
+      if (!done.ready()) done.set(static_cast<int>(i));
     });
   }
   return done.future();
@@ -248,7 +246,7 @@ sim::Future<void> Rank::sendrecv(const void* sbuf, std::uint64_t sbytes, int dst
   if (st != nullptr) {
     r.future().onReady([r, st] { *st = r.status(); });
   }
-  std::vector<sim::Future<void>> both{s.future(), r.future()};
+  std::array<sim::Future<void>, 2> both{s.future(), r.future()};
   return sim::allOf(both);
 }
 
@@ -278,10 +276,7 @@ sim::Future<void> Rank::recv(void* buf, std::uint64_t bytes, int src, int tag, S
   return r.future();
 }
 sim::Future<void> Rank::waitAll(const std::vector<Request>& rs) {
-  std::vector<sim::Future<void>> fs;
-  fs.reserve(rs.size());
-  for (const Request& r : rs) fs.push_back(r.future());
-  return sim::allOf(fs);
+  return sim::allOf(rs, &Request::future);
 }
 sim::Future<void> Rank::barrier() {
   sim::Promise<void> done;
@@ -348,13 +343,11 @@ void World::run(std::function<sim::FutureTask(Rank&)> main) {
   // the callable must outlive every rank: store it in the World and invoke
   // through the stable member.
   main_ = std::move(main);
-  auto remaining = std::make_shared<int>(size());
+  done_.expect(static_cast<std::size_t>(size()));
   for (auto& st : ranks_) {
     Rank* rank = &st->self;
-    rt_.startOn(st->pe, [this, rank, remaining] {
-      main_(*rank).future().onReady([this, remaining] {
-        if (--*remaining == 0) done_.set();
-      });
+    rt_.startOn(st->pe, [this, rank] {
+      main_(*rank).future().onReady([this] { done_.arrive(); });
     });
   }
 }
@@ -382,7 +375,7 @@ void World::onPeFailed(int pe) {
   // orphaned. Failing a request resumes its coroutine, which may post new
   // operations — so mutation of the stores is kept strictly separate from
   // the completions below.
-  std::vector<std::shared_ptr<detail::ReqImpl>> to_fail;
+  std::vector<sim::Pooled<detail::ReqImpl>> to_fail;
   const sim::TimePoint now = rt_.system().engine.now();
   for (auto& st : ranks_) {
     auto sweep = [&](sim::BucketFifo<PostedRecv>& store) {

@@ -13,6 +13,7 @@
 #include "coll/coll.hpp"
 #include "sim/bucket_fifo.hpp"
 #include "sim/future.hpp"
+#include "sim/pooled.hpp"
 #include "sim/task.hpp"
 #include "ucx/worker.hpp"
 
@@ -82,7 +83,7 @@ struct ReqImpl {
 /// Non-blocking operation handle (MPI_Request).
 class Request {
  public:
-  Request() : impl_(std::make_shared<detail::ReqImpl>()) {}
+  Request() : impl_(sim::Pooled<detail::ReqImpl>::make()) {}
 
   [[nodiscard]] bool done() const noexcept { return impl_->completed; }
   [[nodiscard]] const Status& status() const noexcept { return impl_->status; }
@@ -93,7 +94,7 @@ class Request {
 
  private:
   friend class World;
-  std::shared_ptr<detail::ReqImpl> impl_;
+  sim::Pooled<detail::ReqImpl> impl_;
 };
 
 class World;
@@ -411,7 +412,7 @@ class World {
     /// Completion state of the user's Request handle. Held directly (not as
     /// a Request) so the bucket store's slot recycling never constructs a
     /// fresh ReqImpl.
-    std::shared_ptr<detail::ReqImpl> impl;
+    sim::Pooled<detail::ReqImpl> impl;
     void* buf = nullptr;
     std::uint64_t capacity = 0;
     int src = kAnySource;  ///< world rank (translated from comm-local)

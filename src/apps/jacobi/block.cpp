@@ -107,7 +107,7 @@ sim::Duration BlockState::packCost() const {
 
 sim::Duration BlockState::unpackCost() const { return packCost(); }
 
-std::function<void()> BlockState::stencilBody() {
+cuda::Stream::Effect BlockState::stencilBody() {
   if (!backed) {
     cur ^= 1;  // still swap so the driver logic is identical
     return {};
@@ -133,7 +133,7 @@ std::function<void()> BlockState::stencilBody() {
   };
 }
 
-std::function<void()> BlockState::packBody() {
+cuda::Stream::Effect BlockState::packBody() {
   if (!backed) return {};
   return [this] {
     const auto* g = static_cast<const double*>(grid[cur]);
@@ -177,7 +177,7 @@ std::function<void()> BlockState::packBody() {
   };
 }
 
-std::function<void()> BlockState::unpackBody(int parity) {
+cuda::Stream::Effect BlockState::unpackBody(int parity) {
   if (!backed) return {};
   return [this, parity] {
     auto* g = static_cast<double*>(grid[cur]);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -63,9 +62,9 @@ struct BlockState {
   [[nodiscard]] sim::Duration unpackCost() const;  ///< all recv faces
 
   // --- kernel bodies (no-ops when unbacked) --------------------------------
-  [[nodiscard]] std::function<void()> stencilBody();
-  [[nodiscard]] std::function<void()> packBody();
-  [[nodiscard]] std::function<void()> unpackBody(int parity);
+  [[nodiscard]] cuda::Stream::Effect stencilBody();
+  [[nodiscard]] cuda::Stream::Effect packBody();
+  [[nodiscard]] cuda::Stream::Effect unpackBody(int parity);
 
   /// Enqueues staging copies for the -H variants.
   void stageSendFaces();            ///< D2H of every send face

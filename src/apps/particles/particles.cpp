@@ -125,10 +125,10 @@ sim::FutureTask rankMain(ampi::Rank* r, Env* env) {
     // 1. Drift kernel.
     rd.stream->launch(sim::transferTime(rd.count * psz * 2,
                                         env->sys->config.gpu_mem_bandwidth_gbps * 0.7),
-                      backed ? std::function<void()>([env, rr = r->rank()] {
+                      backed ? cuda::Stream::Effect([env, rr = r->rank()] {
                         moveBody(*env, rr);
                       })
-                             : std::function<void()>{});
+                             : cuda::Stream::Effect{});
     co_await rd.stream->synchronize();
 
     // 2. Two-phase migration: x then y (diagonal movers take two hops).
@@ -197,7 +197,7 @@ sim::FutureTask rankMain(ampi::Rank* r, Env* env) {
       rd.stream->launch(
           sim::transferTime(arrived * psz * 2,
                             env->sys->config.gpu_mem_bandwidth_gbps * 0.7),
-          backed ? std::function<void()>([env, rr = r->rank(), in_from_hi, in_from_lo] {
+          backed ? cuda::Stream::Effect([env, rr = r->rank(), in_from_hi, in_from_lo] {
             auto& d = env->ranks[static_cast<std::size_t>(rr)];
             Particle* p = env->parts(rr);
             const auto* rhi = static_cast<const Particle*>(d.recv[1]);
@@ -206,7 +206,7 @@ sim::FutureTask rankMain(ampi::Rank* r, Env* env) {
             for (std::uint64_t i = 0; i < in_from_hi; ++i) p[d.count++] = rhi[i];
             for (std::uint64_t i = 0; i < in_from_lo; ++i) p[d.count++] = rlo[i];
           })
-                 : std::function<void()>{});
+                 : cuda::Stream::Effect{});
       co_await rd.stream->synchronize();
     }
   }

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
+
+#include "core/device_comm.hpp"
 
 /// \file buffer.hpp
 /// CkDeviceBuffer (paper Fig. 5): wraps the address of a source GPU buffer
@@ -29,8 +31,10 @@ class Buffer {
   Buffer(const void* src, std::uint64_t size) : src_(src), size_(size) {}
 
   /// Sender side: callback invoked on the sending PE when the buffer is
-  /// safe to reuse (the CkCallback stored in CkDeviceBuffer).
-  Buffer& onSent(std::function<void()> cb) {
+  /// safe to reuse (the CkCallback stored in CkDeviceBuffer). The buffer is
+  /// move-only because of it; the send moves the callback down to the
+  /// machine layer.
+  Buffer& onSent(core::DoneFn cb) {
     on_sent_ = std::move(cb);
     return *this;
   }
@@ -51,7 +55,7 @@ class Buffer {
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t tag() const noexcept { return tag_; }
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
-  [[nodiscard]] const std::function<void()>& sentCallback() const noexcept { return on_sent_; }
+  [[nodiscard]] core::DoneFn takeSentCallback() noexcept { return std::move(on_sent_); }
   void internalSetTag(std::uint64_t t) noexcept { tag_ = t; }
   void internalSetMode(Mode m) noexcept { mode_ = m; }
   void internalSetSize(std::uint64_t s) noexcept { size_ = s; }
@@ -63,7 +67,7 @@ class Buffer {
   std::uint64_t capacity_ = 0;
   std::uint64_t tag_ = 0;
   Mode mode_ = Mode::Rndv;
-  std::function<void()> on_sent_;
+  core::DoneFn on_sent_;
 };
 
 /// Paper-facing alias: the Charm++ core's metadata object.

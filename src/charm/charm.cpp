@@ -11,8 +11,8 @@ std::vector<EntryDesc>& entryTable() {
 
 }  // namespace detail
 
-Callback::Callback(Runtime& rt, int pe, std::function<void()> fn)
-    : rt_(&rt), pe_(pe), fn_(std::make_shared<std::function<void()>>(std::move(fn))) {}
+Callback::Callback(Runtime& rt, int pe, core::DoneFn fn)
+    : rt_(&rt), pe_(pe), fn_(std::make_shared<core::DoneFn>(std::move(fn))) {}
 
 void Callback::send() const {
   if (!fn_ || !*fn_) return;
@@ -40,17 +40,16 @@ void Runtime::dispatch(cmi::Message msg) {
   assert(entry_id < detail::entryTable().size());
   cmi_->pe(pe).charge(sim::usec(costs().charm_entry_us));
   const auto off = u.offset();
-  detail::entryTable()[entry_id].invoke(*this, pe, obj,
-                                        std::make_shared<cmi::Message>(std::move(msg)), off);
+  detail::entryTable()[entry_id].invoke(*this, pe, obj, msg, off);
 }
 
-void Runtime::packBuffer(Packer& p, const Buffer& b, int src_pe, int dst_pe,
+void Runtime::packBuffer(Packer& p, Buffer& b, int src_pe, int dst_pe,
                          std::uint64_t& inline_bulk) {
   if (rendezvous(b)) {
     p.pack(static_cast<std::uint8_t>(Buffer::Mode::Rndv));
     p.pack(b.size());
     core::CmiDeviceBuffer cdb{b.source(), b.size(), 0};
-    dev_->lrtsSendDevice(src_pe, dst_pe, cdb, b.sentCallback(), core::DeviceRecvType::Charm);
+    dev_->lrtsSendDevice(src_pe, dst_pe, cdb, b.takeSentCallback(), core::DeviceRecvType::Charm);
     p.pack(cdb.tag);
   } else {
     p.pack(static_cast<std::uint8_t>(Buffer::Mode::Packed));
@@ -62,8 +61,8 @@ void Runtime::packBuffer(Packer& p, const Buffer& b, int src_pe, int dst_pe,
     }
     inline_bulk += b.size();
     // Packed sends complete locally once the copy is made.
-    if (b.sentCallback()) {
-      cmi_->pe(src_pe).exec(sim::usec(costs().callback_us), b.sentCallback());
+    if (core::DoneFn sent = b.takeSentCallback()) {
+      cmi_->pe(src_pe).exec(sim::usec(costs().callback_us), std::move(sent));
     }
   }
 }

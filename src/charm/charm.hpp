@@ -1,8 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <tuple>
@@ -16,6 +16,7 @@
 #include "core/device_comm.hpp"
 #include "model/model.hpp"
 #include "obs/span.hpp"
+#include "sim/pooled.hpp"
 
 /// \file charm.hpp
 /// The Charm++-like runtime: chares, typed entry-method invocation, post
@@ -84,7 +85,9 @@ template <class Tuple>
 }
 
 struct EntryDesc {
-  void (*invoke)(Runtime&, int pe, Chare*, std::shared_ptr<cmi::Message>, std::size_t off);
+  /// `msg` may be moved from: the thunk keeps it only while a rendezvous
+  /// buffer is still in flight.
+  void (*invoke)(Runtime&, int pe, Chare*, cmi::Message& msg, std::size_t off);
 };
 
 [[nodiscard]] std::vector<EntryDesc>& entryTable();
@@ -96,12 +99,11 @@ struct EntryDesc {
 /// disturb the regular entry's unpacking.
 template <auto M>
 struct PostOf {
-  static inline std::function<void(Chare*, std::span<Buffer>, Unpacker)> fn;
+  static inline void (*fn)(Chare*, std::span<Buffer>, Unpacker) = nullptr;
 };
 
 template <auto M>
-void entryThunk(Runtime& rt, int pe, Chare* obj, std::shared_ptr<cmi::Message> msg,
-                std::size_t off);
+void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message& msg, std::size_t off);
 
 template <auto M>
 [[nodiscard]] std::uint32_t entryId() {
@@ -138,7 +140,7 @@ void setPostEntry() {
 class Callback {
  public:
   Callback() = default;
-  Callback(Runtime& rt, int pe, std::function<void()> fn);
+  Callback(Runtime& rt, int pe, core::DoneFn fn);
 
   /// Schedules the callback on its PE (CkCallback::send()).
   void send() const;
@@ -148,7 +150,7 @@ class Callback {
  private:
   Runtime* rt_ = nullptr;
   int pe_ = -1;
-  std::shared_ptr<std::function<void()>> fn_;
+  std::shared_ptr<core::DoneFn> fn_;  ///< shared: a callback may be sent many times
 };
 
 template <class T>
@@ -172,7 +174,7 @@ class Runtime {
   Proxy<T> create(int pe, A&&... args);
 
   /// Bootstraps execution: runs `fn` on `pe` in PE context at current time.
-  void startOn(int pe, std::function<void()> fn) { cmi_->runOn(pe, std::move(fn)); }
+  void startOn(int pe, cmi::PeFn fn) { cmi_->runOn(pe, std::move(fn)); }
 
   /// Entry-method send; normally called through Proxy<T>::send. The source
   /// PE is the currently executing one.
@@ -195,8 +197,7 @@ class Runtime {
 
  private:
   template <auto>
-  friend void detail::entryThunk(Runtime&, int, Chare*, std::shared_ptr<cmi::Message>,
-                                 std::size_t);
+  friend void detail::entryThunk(Runtime&, int, Chare*, cmi::Message&, std::size_t);
 
   void dispatch(cmi::Message msg);
   /// Device and large host buffers rendezvous; small host buffers are packed.
@@ -208,9 +209,9 @@ class Runtime {
     return 1 + sizeof(std::uint64_t) + (rendezvous(b) ? sizeof(std::uint64_t) : b.size());
   }
   /// Packs one Buffer argument: rendezvous (device or large host) buffers go
-  /// through LrtsSendDevice; small host buffers are packed inline.
-  void packBuffer(Packer& p, const Buffer& b, int src_pe, int dst_pe,
-                  std::uint64_t& inline_bulk);
+  /// through LrtsSendDevice; small host buffers are packed inline. Takes the
+  /// buffer's sent callback.
+  void packBuffer(Packer& p, Buffer& b, int src_pe, int dst_pe, std::uint64_t& inline_bulk);
 
   hw::System& sys_;
   std::unique_ptr<cmi::Converse> cmi_;
@@ -322,20 +323,19 @@ void Runtime::sendFrom(int src_pe, ChareId dst, Args&&... args) {
 namespace detail {
 
 template <auto M>
-void invokeWithArgs(Runtime& rt, Chare* obj, Unpacker& u, std::vector<Buffer>& bufs) {
+void invokeWithArgs(Chare* obj, Unpacker& u, std::span<Buffer> bufs) {
   using Traits = MethodTraits<decltype(M)>;
   using C = typename Traits::Class;
   using Tuple = typename Traits::Tuple;
   auto* self = static_cast<C*>(obj);
   std::size_t bi = 0;
-  (void)rt;
   [&]<std::size_t... I>(std::index_sequence<I...>) {
     // Braced-init guarantees left-to-right evaluation, preserving the packed
     // argument order.
     Tuple argv{[&]() -> std::tuple_element_t<I, Tuple> {
       using T = std::tuple_element_t<I, Tuple>;
       if constexpr (is_buffer_v<T>) {
-        return bufs[bi++];
+        return std::move(bufs[bi++]);
       } else {
         return u.template unpack<T>();
       }
@@ -344,21 +344,49 @@ void invokeWithArgs(Runtime& rt, Chare* obj, Unpacker& u, std::vector<Buffer>& b
   }(std::make_index_sequence<std::tuple_size_v<Tuple>>{});
 }
 
+/// The received buffers of one invocation: entry methods take one or two,
+/// which are stored inline; more spill to the heap.
+class BufferList {
+ public:
+  explicit BufferList(std::size_t n) : n_(n) {
+    if (n > kInline) spill_.resize(n);
+  }
+  [[nodiscard]] std::span<Buffer> span() noexcept {
+    return n_ <= kInline ? std::span<Buffer>(inline_.data(), n_) : std::span<Buffer>(spill_);
+  }
+
+ private:
+  static constexpr std::size_t kInline = 2;
+  std::array<Buffer, kInline> inline_;
+  std::vector<Buffer> spill_;
+  std::size_t n_;
+};
+
+/// What an invocation keeps while its rendezvous buffers are in flight: the
+/// metadata message (its host arguments are unpacked at the end), the
+/// buffers, and the count still to land. Built only when a buffer is
+/// rendezvous; pooled, so steady-state GPU messages reuse its storage.
+struct RndvEntry {
+  cmi::Message msg;
+  BufferList bufs;
+  std::size_t args_off = 0;
+  std::uint32_t remaining = 0;
+};
+
 template <auto M>
-void entryThunk(Runtime& rt, int pe, Chare* obj, std::shared_ptr<cmi::Message> msg,
-                std::size_t off) {
-  Unpacker u(msg->payload(), off);
+void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message& msg, std::size_t off) {
+  Unpacker u(msg.payload(), off);
   const auto nbuf = u.unpack<std::uint32_t>();
-  auto bufs = std::make_shared<std::vector<Buffer>>();
-  bufs->reserve(nbuf);
-  std::vector<std::pair<std::size_t, std::size_t>> packed;  // (buffer idx, payload offset)
-  for (std::uint32_t i = 0; i < nbuf; ++i) {
+  BufferList list(nbuf);
+  const std::span<Buffer> bufs = list.span();
+  std::uint32_t rndv = 0;
+  for (Buffer& b : bufs) {
     const auto mode = static_cast<Buffer::Mode>(u.unpack<std::uint8_t>());
     const auto size = u.unpack<std::uint64_t>();
-    Buffer b;
     b.internalSetMode(mode);
     b.internalSetSize(size);
     if (mode == Buffer::Mode::Rndv) {
+      ++rndv;
       b.internalSetTag(u.unpack<std::uint64_t>());
       // Metadata carrying this device tag has reached the receiving PE; the
       // gap to the lrtsRecvDevice below is the paper's recv-post delay.
@@ -366,29 +394,34 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, std::shared_ptr<cmi::Message> m
       spans.phase(spans.spanForTag(b.tag()), rt.system().engine.now(),
                   obs::Phase::MetaArrived, pe, b.size());
     } else {
-      packed.emplace_back(i, u.offset());
       u.skip(size);
     }
-    bufs->push_back(std::move(b));
   }
   const std::size_t args_off = u.offset();
 
   if (nbuf > 0) {
-    auto& post = PostOf<M>::fn;
+    auto* post = PostOf<M>::fn;
     assert(post && "entry with ck::Buffer parameters needs setPostEntry<>()");
-    post(obj, std::span<Buffer>(*bufs), Unpacker(msg->payload(), args_off));
+    post(obj, bufs, Unpacker(msg.payload(), args_off));
   }
 
   // Small host payloads packed into the metadata message: copy into the
   // user-provided destinations now (the receive-side runtime memcpy the
   // paper attributes host-staging slowdowns to).
+  // A second walk over the buffer headers finds each packed payload.
   std::uint64_t packed_bytes = 0;
-  for (const auto& [i, poff] : packed) {
-    Buffer& b = (*bufs)[i];
-    assert(b.data() != nullptr && b.capacity() >= b.size() && "post entry must set destinations");
-    if (msg->payload_valid && rt.system().memory.dereferenceable(b.data()) && b.size() > 0) {
-      std::memcpy(b.data(), msg->payload().data() + poff, b.size());
+  Unpacker hdr(msg.payload(), off + sizeof(std::uint32_t));
+  for (Buffer& b : bufs) {
+    hdr.skip(1 + sizeof(std::uint64_t));  // mode, size
+    if (b.mode() == Buffer::Mode::Rndv) {
+      hdr.skip(sizeof(std::uint64_t));  // tag
+      continue;
     }
+    assert(b.data() != nullptr && b.capacity() >= b.size() && "post entry must set destinations");
+    if (msg.payload_valid && rt.system().memory.dereferenceable(b.data()) && b.size() > 0) {
+      std::memcpy(b.data(), msg.payload().data() + hdr.offset(), b.size());
+    }
+    hdr.skip(b.size());
     packed_bytes += b.size();
   }
   if (packed_bytes > 0) {
@@ -397,25 +430,21 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, std::shared_ptr<cmi::Message> m
     rt.cmi().pe(pe).charge(sim::usec(copy_us));
   }
 
-  auto invoke = [&rt, obj, bufs, msg, args_off] {
-    Unpacker u2(msg->payload(), args_off);
-    invokeWithArgs<M>(rt, obj, u2, *bufs);
-  };
-
-  auto pending = std::make_shared<int>(0);
-  for (const Buffer& b : *bufs) {
-    if (b.mode() == Buffer::Mode::Rndv) ++*pending;
-  }
-  if (*pending == 0) {
-    invoke();
+  if (rndv == 0) {
+    Unpacker args(msg.payload(), args_off);
+    invokeWithArgs<M>(obj, args, bufs);
     return;
   }
-  for (Buffer& b : *bufs) {
+  auto st =
+      sim::Pooled<RndvEntry>::make(RndvEntry{std::move(msg), std::move(list), args_off, rndv});
+  for (Buffer& b : st->bufs.span()) {
     if (b.mode() != Buffer::Mode::Rndv) continue;
     assert(b.data() != nullptr && b.capacity() >= b.size() && "post entry must set destinations");
     rt.dev().lrtsRecvDevice(pe, core::DeviceRdmaOp{b.data(), b.size(), b.tag()},
-                            core::DeviceRecvType::Charm, [pending, invoke] {
-                              if (--*pending == 0) invoke();
+                            core::DeviceRecvType::Charm, [obj, st] {
+                              if (--st->remaining != 0) return;
+                              Unpacker args(st->msg.payload(), st->args_off);
+                              invokeWithArgs<M>(obj, args, st->bufs.span());
                             });
   }
 }

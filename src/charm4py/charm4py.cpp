@@ -134,7 +134,7 @@ Channel Charm4py::makeChannel(int pe_a, int pe_b) {
   return Channel{mk(0, pe_a), mk(1, pe_b)};
 }
 
-void Charm4py::startOn(int pe, std::function<void()> fn) {
+void Charm4py::startOn(int pe, cmi::PeFn fn) {
   // Launching a coroutine entry method costs one interpreter dispatch.
   rt_.cmi().pe(pe).charge(sim::usec(rt_.costs().py_call_us));
   rt_.startOn(pe, std::move(fn));

@@ -101,7 +101,7 @@ class Charm4py {
   [[nodiscard]] std::uint64_t abortedOps() const noexcept { return aborted_ops_; }
 
   /// Launches a Python coroutine on `pe` (entry method invocation).
-  void startOn(int pe, std::function<void()> fn);
+  void startOn(int pe, cmi::PeFn fn);
 
   // --- charm.lib CUDA helpers (paper Fig. 8) -----------------------------
   /// The host-staging path calls these through Charm4py's Cython layer, so

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <memory>
 
+#include "sim/task.hpp"
+
 namespace cux::coll {
 
 int C4pRank::size() const { return grp_->size(); }
@@ -22,18 +24,7 @@ C4pReq C4pRank::irecv(void* buf, std::uint64_t bytes, int src, int tag) {
 }
 
 sim::Future<void> C4pRank::waitAll(const std::vector<C4pReq>& rs) {
-  sim::Promise<void> all;
-  auto remaining = std::make_shared<int>(static_cast<int>(rs.size()));
-  if (*remaining == 0) {
-    all.set();
-    return all.future();
-  }
-  for (const C4pReq& r : rs) {
-    r.f.onReady([all, remaining] {
-      if (--*remaining == 0) all.set();
-    });
-  }
-  return all.future();
+  return sim::allOf(rs, [](const C4pReq& r) -> const sim::Future<void>& { return r.f; });
 }
 
 C4pGroup::C4pGroup(c4p::Charm4py& py, std::vector<int> pes, int lanes)

@@ -6,6 +6,7 @@
 
 #include "hw/cuda.hpp"
 #include "hw/system.hpp"
+#include "sim/task.hpp"
 
 namespace cux::coll {
 
@@ -146,18 +147,7 @@ SectionReq SectionRank::irecv(void* buf, std::uint64_t bytes, int src, int tag) 
 }
 
 sim::Future<void> SectionRank::waitAll(const std::vector<SectionReq>& rs) {
-  sim::Promise<void> all;
-  auto remaining = std::make_shared<int>(static_cast<int>(rs.size()));
-  if (*remaining == 0) {
-    all.set();
-    return all.future();
-  }
-  for (const SectionReq& r : rs) {
-    r.f.onReady([all, remaining] {
-      if (--*remaining == 0) all.set();
-    });
-  }
-  return all.future();
+  return sim::allOf(rs, [](const SectionReq& r) -> const sim::Future<void>& { return r.f; });
 }
 
 // --- CharmSection ----------------------------------------------------------

@@ -19,7 +19,7 @@ Converse::Converse(hw::System& sys, ucx::Context& ucx, const model::LayerCosts& 
   for (int i = 0; i < pes; ++i) {
     pes_.push_back(std::make_unique<Pe>(sys.engine, i));
     Pe& pe = *pes_.back();
-    pe.run_hook = [this](int id, std::function<void()>& fn) {
+    pe.run_hook = [this](int id, PeFn& fn) {
       const int prev = current_pe_;
       current_pe_ = id;
       fn();
@@ -59,7 +59,7 @@ void Converse::send(int src_pe, int dst_pe, int handler, std::vector<std::byte> 
   });
 }
 
-void Converse::inject(int src_pe, std::function<void()> fn) {
+void Converse::inject(int src_pe, PeFn fn) {
   Pe& src = pe(src_pe);
   if (!costs_.smp_comm_thread) {
     sys_.engine.schedule(src.busyUntil(), std::move(fn));
@@ -74,7 +74,7 @@ void Converse::inject(int src_pe, std::function<void()> fn) {
   });
 }
 
-void Converse::runOn(int pe_id, std::function<void()> fn, sim::Duration overhead) {
+void Converse::runOn(int pe_id, PeFn fn, sim::Duration overhead) {
   pe(pe_id).exec(overhead, std::move(fn));
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -37,7 +36,9 @@ struct Message {
   static constexpr std::size_t kHeaderBytes = 8;  // handler id + source PE
 };
 
-using HandlerFn = std::function<void(Message)>;
+/// Registered once per handler; the audited captures are an object pointer
+/// and a PE index.
+using HandlerFn = sim::SmallFn<void(Message), 16>;
 
 class Converse {
  public:
@@ -68,12 +69,12 @@ class Converse {
 
   /// Runs `fn` on `pe` as if a local message had been scheduled (used to
   /// bootstrap programs and to serialise completion callbacks onto PEs).
-  void runOn(int pe, std::function<void()> fn, sim::Duration overhead = 0);
+  void runOn(int pe, PeFn fn, sim::Duration overhead = 0);
 
   /// Injects a network operation originating on `src_pe`: non-SMP, it fires
   /// once the PE's software work retires; in SMP mode it additionally
   /// serialises through (and is charged to) the node's communication thread.
-  void inject(int src_pe, std::function<void()> fn);
+  void inject(int src_pe, PeFn fn);
 
  private:
   void onHostMessage(int dst_pe, ucx::Delivery d);

@@ -1,8 +1,7 @@
 #pragma once
 
-#include <functional>
-
 #include "sim/engine.hpp"
+#include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
 /// \file pe.hpp
@@ -17,6 +16,12 @@
 
 namespace cux::cmi {
 
+/// Work run on a PE (exec, Converse::runOn/inject). Capacity 112: the
+/// largest audited capture is a DeviceComm send injection (context, PEs,
+/// pointer, size, tag and a core::DoneFn); a PeFn plus the PE pointer still
+/// fits Engine::Callback inline.
+using PeFn = sim::SmallFn<void(), 112>;
+
 class Pe {
  public:
   Pe(sim::Engine& engine, int id) : engine_(engine), id_(id) {}
@@ -28,7 +33,7 @@ class Pe {
 
   /// Serialised execution: `fn` runs after `overhead` of PE time, queued
   /// behind any previously scheduled work on this PE.
-  void exec(sim::Duration overhead, std::function<void()> fn) {
+  void exec(sim::Duration overhead, PeFn fn) {
     const sim::TimePoint start =
         engine_.now() > busy_until_ ? engine_.now() : busy_until_;
     busy_until_ = start + overhead;
@@ -49,10 +54,10 @@ class Pe {
 
   /// Hook invoked around every exec() continuation; the Converse runtime
   /// installs one that tracks the "current PE" for proxy sends.
-  std::function<void(int pe, std::function<void()>&)> run_hook;
+  sim::SmallFn<void(int pe, PeFn&), 16> run_hook;
 
  private:
-  void hooked_schedule(sim::TimePoint t, std::function<void()> fn) {
+  void hooked_schedule(sim::TimePoint t, PeFn fn) {
     engine_.schedule(t, [this, fn = std::move(fn)]() mutable {
       if (run_hook) {
         run_hook(id_, fn);

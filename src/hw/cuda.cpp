@@ -47,49 +47,48 @@ void moveBytes(hw::System& sys, void* dst, const void* src, std::size_t bytes) {
   std::memcpy(dst, src, bytes);
 }
 
-void Stream::memcpyAsync(void* dst, const void* src, std::size_t bytes, MemcpyKind kind) {
-  hw::System& sys = sys_;
-  const int device = device_;
-  Op op;
-  op.timing = [&sys, device, kind, bytes](sim::TimePoint start) -> sim::TimePoint {
-    const hw::MachineConfig& cfg = sys.config;
-    start += sim::usec(cfg.cuda_call_us);
-    const hw::GpuId gpu = sys.machine.gpuOfPe(device);
-    switch (kind) {
-      case MemcpyKind::HostToDevice: {
-        sim::TimePoint t = start + sim::usec(cfg.cuda_copy_latency_us);
-        return sys.machine.gpuDown(gpu).reserve(t, bytes);
-      }
-      case MemcpyKind::DeviceToHost: {
-        sim::TimePoint t = start + sim::usec(cfg.cuda_copy_latency_us);
-        return sys.machine.gpuUp(gpu).reserve(t, bytes);
-      }
-      case MemcpyKind::DeviceToDevice:
-        // Same-device copy: read + write through HBM.
-        return start + sim::usec(cfg.cuda_copy_latency_us) +
-               sim::transferTime(2 * bytes, cfg.gpu_mem_bandwidth_gbps);
-      case MemcpyKind::HostToHost:
-        return start + sim::transferTime(bytes, cfg.host_memcpy_gbps);
-    }
-    return start;
-  };
-  op.effect = [&sys, dst, src, bytes] { moveBytes(sys, dst, src, bytes); };
-  enqueue(std::move(op));
+namespace {
+
+/// Completion time of a copy or kernel started at `start` on `device`:
+/// copies reserve the GPU's NVLink brick or HBM, kernels its SM array.
+/// Shared by stream ops (after their call overheads) and graph nodes
+/// (without them).
+sim::TimePoint deviceFinish(hw::System& sys, int device, OpKind kind, const OpCost& cost,
+                            sim::TimePoint start) {
+  const hw::MachineConfig& cfg = sys.config;
+  const hw::GpuId gpu = sys.machine.gpuOfPe(device);
+  if (kind == OpKind::Kernel) {
+    // Kernels from every stream of this GPU serialise on its SM array.
+    return sys.machine.gpuCompute(gpu).reserve(start, cost.kernel);
+  }
+  switch (cost.copy) {
+    case MemcpyKind::HostToDevice:
+      return sys.machine.gpuDown(gpu).reserve(start + sim::usec(cfg.cuda_copy_latency_us),
+                                              cost.bytes);
+    case MemcpyKind::DeviceToHost:
+      return sys.machine.gpuUp(gpu).reserve(start + sim::usec(cfg.cuda_copy_latency_us),
+                                            cost.bytes);
+    case MemcpyKind::DeviceToDevice:
+      // Same-device copy: read + write through HBM.
+      return start + sim::usec(cfg.cuda_copy_latency_us) +
+             sim::transferTime(2 * cost.bytes, cfg.gpu_mem_bandwidth_gbps);
+    case MemcpyKind::HostToHost:
+      return start + sim::transferTime(cost.bytes, cfg.host_memcpy_gbps);
+  }
+  return start;
 }
 
-void Stream::launch(sim::Duration cost, std::function<void()> body) {
+}  // namespace
+
+void Stream::memcpyAsync(void* dst, const void* src, std::size_t bytes, MemcpyKind kind) {
   hw::System& sys = sys_;
-  Op op;
-  const int device = device_;
-  sys.trace.record(sys.engine.now(), sim::TraceCat::Kernel, device, -1, 0, 0, "launch");
-  op.timing = [&sys, device, cost](sim::TimePoint start) {
-    // Kernels from every stream of this GPU serialise on its SM array.
-    const sim::TimePoint launched =
-        start + sim::usec(sys.config.cuda_call_us) + sim::usec(sys.config.kernel_launch_us);
-    return sys.machine.gpuCompute(sys.machine.gpuOfPe(device)).reserve(launched, cost);
-  };
-  op.effect = std::move(body);
-  enqueue(std::move(op));
+  enqueue(Op{OpKind::Memcpy, OpCost{kind, bytes, 0}, nullptr,
+             [&sys, dst, src, bytes] { moveBytes(sys, dst, src, bytes); }});
+}
+
+void Stream::launch(sim::Duration cost, Effect body) {
+  sys_.trace.record(sys_.engine.now(), sim::TraceCat::Kernel, device_, -1, 0, 0, "launch");
+  enqueue(Op{OpKind::Kernel, OpCost{MemcpyKind::HostToHost, 0, cost}, nullptr, std::move(body)});
 }
 
 sim::Future<void> Stream::synchronize() {
@@ -100,83 +99,43 @@ sim::Future<void> Stream::synchronize() {
     return done.future();
   }
   // Zero-cost marker op: completes when everything before it has.
-  Op op;
   sim::Engine& engine = sys_.engine;
-  op.timing = [](sim::TimePoint start) { return start; };
-  op.effect = [done, sync_cost, &engine] { engine.after(sync_cost, [done] { done.set(); }); };
-  enqueue(std::move(op));
+  enqueue(Op{OpKind::Marker, OpCost{}, nullptr,
+             [done, sync_cost, &engine] { engine.after(sync_cost, [done] { done.set(); }); }});
   return done.future();
 }
 
 GraphBuilder& GraphBuilder::addKernel(sim::Duration cost, std::function<void()> body) {
-  hw::System& sys = sys_;
-  const int device = device_;
-  Graph::Node node;
-  node.timing = [&sys, device, cost](sim::TimePoint start) {
-    return sys.machine.gpuCompute(sys.machine.gpuOfPe(device)).reserve(start, cost);
-  };
-  node.effect = std::move(body);
-  nodes_.push_back(std::move(node));
+  nodes_.push_back(GraphNode{OpKind::Kernel, OpCost{MemcpyKind::HostToHost, 0, cost},
+                             std::move(body)});
   return *this;
 }
 
 GraphBuilder& GraphBuilder::addMemcpy(void* dst, const void* src, std::size_t bytes,
                                       MemcpyKind kind) {
   hw::System& sys = sys_;
-  const int device = device_;
-  Graph::Node node;
-  node.timing = [&sys, device, kind, bytes](sim::TimePoint start) -> sim::TimePoint {
-    const hw::MachineConfig& cfg = sys.config;
-    const hw::GpuId gpu = sys.machine.gpuOfPe(device);
-    switch (kind) {
-      case MemcpyKind::HostToDevice:
-        return sys.machine.gpuDown(gpu).reserve(start + sim::usec(cfg.cuda_copy_latency_us),
-                                                bytes);
-      case MemcpyKind::DeviceToHost:
-        return sys.machine.gpuUp(gpu).reserve(start + sim::usec(cfg.cuda_copy_latency_us),
-                                              bytes);
-      case MemcpyKind::DeviceToDevice:
-        return start + sim::usec(cfg.cuda_copy_latency_us) +
-               sim::transferTime(2 * bytes, cfg.gpu_mem_bandwidth_gbps);
-      case MemcpyKind::HostToHost:
-        return start + sim::transferTime(bytes, cfg.host_memcpy_gbps);
-    }
-    return start;
-  };
-  node.effect = [&sys, dst, src, bytes] { moveBytes(sys, dst, src, bytes); };
-  nodes_.push_back(std::move(node));
+  nodes_.push_back(GraphNode{OpKind::Memcpy, OpCost{kind, bytes, 0},
+                             [&sys, dst, src, bytes] { moveBytes(sys, dst, src, bytes); }});
   return *this;
 }
 
 Graph GraphBuilder::instantiate() {
   Graph g;
-  g.nodes_ = std::make_shared<const std::vector<Graph::Node>>(std::move(nodes_));
+  g.nodes_ = std::make_shared<const std::vector<GraphNode>>(std::move(nodes_));
   nodes_.clear();
   return g;
 }
 
 void Graph::launch(Stream& s) const {
   hw::System& sys = s.sys_;
-  auto nodes = nodes_;
   sys.trace.record(sys.engine.now(), sim::TraceCat::Kernel, s.device_, -1, nodeCount(), 0,
                    "graph-launch");
-  Stream::Op op;
-  op.timing = [&sys, nodes](sim::TimePoint start) {
-    sim::TimePoint t = start + sim::usec(sys.config.cuda_call_us) +
-                       sim::usec(sys.config.cuda_graph_launch_us);
-    if (nodes) {
-      for (const Node& n : *nodes) t = n.timing(t);
-    }
-    return t;
-  };
-  op.effect = [nodes] {
-    if (nodes) {
-      for (const Node& n : *nodes) {
-        if (n.effect) n.effect();
-      }
-    }
-  };
-  s.enqueue(std::move(op));
+  s.enqueue(Stream::Op{OpKind::Graph, OpCost{}, nodes_, [nodes = nodes_] {
+                         if (!nodes) return;
+                         for (const GraphNode& n : *nodes) {
+                           if (n.effect) n.effect();
+                         }
+                       }});
 }
 
 void Stream::enqueue(Op op) {
@@ -185,19 +144,46 @@ void Stream::enqueue(Op op) {
 }
 
 void Stream::kick() {
-  if (ops_.empty()) {
+  if (head_ == ops_.size()) {
+    ops_.clear();
+    head_ = 0;
     busy_ = false;
     return;
   }
   busy_ = true;
-  Op op = std::move(ops_.front());
-  ops_.pop_front();
-  const sim::TimePoint finish = op.timing(sys_.engine.now());
-  auto effect = std::move(op.effect);
-  auto done = op.done;
-  sys_.engine.schedule(finish, [this, effect = std::move(effect), done]() mutable {
-    if (effect) effect();
-    done.set();
+  Op op = std::move(ops_[head_++]);
+  if (head_ >= 64 && 2 * head_ >= ops_.size()) {
+    // A stream that never drains still reuses its storage: drop the
+    // consumed prefix once it is at least half of the queue.
+    ops_.erase(ops_.begin(), ops_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  const hw::MachineConfig& cfg = sys_.config;
+  sim::TimePoint finish = sys_.engine.now();
+  switch (op.kind) {
+    case OpKind::Memcpy:
+      finish =
+          deviceFinish(sys_, device_, op.kind, op.cost, finish + sim::usec(cfg.cuda_call_us));
+      break;
+    case OpKind::Kernel:
+      finish = deviceFinish(sys_, device_, op.kind, op.cost,
+                            finish + sim::usec(cfg.cuda_call_us) +
+                                sim::usec(cfg.kernel_launch_us));
+      break;
+    case OpKind::Marker:
+      break;
+    case OpKind::Graph:
+      // One submission overhead for the whole chain; nodes pay device time only.
+      finish += sim::usec(cfg.cuda_call_us) + sim::usec(cfg.cuda_graph_launch_us);
+      if (op.graph) {
+        for (const GraphNode& n : *op.graph) {
+          finish = deviceFinish(sys_, device_, n.kind, n.cost, finish);
+        }
+      }
+      break;
+  }
+  sys_.engine.schedule(finish, [this, effect = std::move(op.effect)]() mutable {
+    effect();
     kick();
   });
 }

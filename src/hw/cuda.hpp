@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -97,6 +97,23 @@ class HostStage {
   std::vector<std::byte> storage_;  ///< backed mode only
 };
 
+enum class OpKind : std::uint8_t { Memcpy, Kernel, Marker, Graph };
+
+/// Device-side cost of one op, without the per-call CPU overheads: a copy
+/// of `bytes` in direction `copy`, or a kernel of `kernel` device time.
+struct OpCost {
+  MemcpyKind copy = MemcpyKind::HostToHost;
+  std::uint64_t bytes = 0;
+  sim::Duration kernel = 0;
+};
+
+/// A node of an instantiated CUDA graph (see Graph).
+struct GraphNode {
+  OpKind kind = OpKind::Kernel;
+  OpCost cost;
+  std::function<void()> effect;
+};
+
 /// In-order execution stream bound to one GPU.
 class Stream {
  public:
@@ -111,9 +128,14 @@ class Stream {
   /// CUDA's deferred-visibility semantics.
   void memcpyAsync(void* dst, const void* src, std::size_t bytes, MemcpyKind kind);
 
+  /// Effect run at an op's completion: a copy's byte movement or a kernel
+  /// body. Capacity 40: the largest audited body is coll's combine kernel
+  /// (rank, destination, source, count, op); a copy effect is 32 bytes.
+  using Effect = sim::SmallFn<void(), 40>;
+
   /// Enqueues a kernel costing `cost` of device time; `body` (may be empty)
   /// runs at completion and performs the kernel's effect on backed memory.
-  void launch(sim::Duration cost, std::function<void()> body = {});
+  void launch(sim::Duration cost, Effect body = {});
 
   /// Future fulfilled when every op enqueued so far has completed (plus the
   /// fixed synchronisation overhead).
@@ -125,11 +147,12 @@ class Stream {
  private:
   friend class Graph;
 
+  /// An op's timing is data; kick() turns it into a completion time.
   struct Op {
-    // Returns completion time given the op's start time.
-    std::function<sim::TimePoint(sim::TimePoint)> timing;
-    std::function<void()> effect;  // runs at completion
-    sim::Promise<void> done;
+    OpKind kind = OpKind::Marker;
+    OpCost cost;
+    std::shared_ptr<const std::vector<GraphNode>> graph;  ///< OpKind::Graph only
+    Effect effect;  ///< runs at completion
   };
 
   void enqueue(Op op);
@@ -137,7 +160,8 @@ class Stream {
 
   hw::System& sys_;
   int device_;
-  std::deque<Op> ops_;
+  std::vector<Op> ops_;  ///< pending ops; ops_[head_] runs next
+  std::size_t head_ = 0;
   bool busy_ = false;
 };
 
@@ -162,12 +186,7 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  struct Node {
-    std::function<sim::TimePoint(sim::TimePoint)> timing;  // no per-node launch overhead
-    std::function<void()> effect;
-  };
-
-  std::shared_ptr<const std::vector<Node>> nodes_;
+  std::shared_ptr<const std::vector<GraphNode>> nodes_;
 };
 
 /// Builds a Graph for one GPU, mirroring cudaGraphCreate/cudaGraphAddNode +
@@ -193,7 +212,7 @@ class GraphBuilder {
  private:
   hw::System& sys_;
   int device_;
-  std::vector<Graph::Node> nodes_;
+  std::vector<GraphNode> nodes_;
 };
 
 /// Classifies a (dst, src) pointer pair the way cudaMemcpyDefault would.

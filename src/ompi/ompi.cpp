@@ -29,13 +29,11 @@ void World::run(std::function<sim::FutureTask(Rank&)> main) {
   // Rank coroutine frames reference the closure object for their whole
   // lifetime; keep the callable alive in the World (see ampi::World::run).
   main_ = std::move(main);
-  auto remaining = std::make_shared<int>(size());
+  done_.expect(static_cast<std::size_t>(size()));
   for (auto& st : ranks_) {
     Rank* rank = &st->self;
-    sys_.engine.schedule(sys_.engine.now(), [this, rank, remaining] {
-      main_(*rank).future().onReady([this, remaining] {
-        if (--*remaining == 0) done_.set();
-      });
+    sys_.engine.schedule(sys_.engine.now(), [this, rank] {
+      main_(*rank).future().onReady([this] { done_.arrive(); });
     });
   }
 }
@@ -84,10 +82,7 @@ sim::Future<void> Rank::recv(void* buf, std::uint64_t bytes, int src, int tag, S
 }
 
 sim::Future<void> Rank::waitAll(const std::vector<Request>& rs) {
-  std::vector<sim::Future<void>> fs;
-  fs.reserve(rs.size());
-  for (const Request& r : rs) fs.push_back(r.future());
-  return sim::allOf(fs);
+  return sim::allOf(rs, &Request::future);
 }
 
 sim::Future<void> Rank::barrier() {

@@ -8,6 +8,7 @@
 #include "converse/pe.hpp"
 #include "model/model.hpp"
 #include "sim/future.hpp"
+#include "sim/pooled.hpp"
 #include "sim/task.hpp"
 #include "ucx/context.hpp"
 
@@ -71,7 +72,7 @@ struct ReqImpl {
 
 class Request {
  public:
-  Request() : impl_(std::make_shared<detail::ReqImpl>()) {}
+  Request() : impl_(sim::Pooled<detail::ReqImpl>::make()) {}
   [[nodiscard]] bool done() const noexcept { return impl_->completed; }
   [[nodiscard]] const Status& status() const noexcept { return impl_->status; }
   [[nodiscard]] sim::Future<void> future() const { return impl_->done.future(); }
@@ -79,7 +80,7 @@ class Request {
  private:
   friend class World;
   friend class Rank;
-  std::shared_ptr<detail::ReqImpl> impl_;
+  sim::Pooled<detail::ReqImpl> impl_;
 };
 
 class World;

@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace cux::sim {
@@ -28,13 +27,39 @@ void Engine::releaseSlot(std::uint32_t slot) noexcept {
 }
 
 void Engine::pushHeap(HeapEntry e) {
+  // Sift the hole up from the new leaf; parents move down into it.
+  std::size_t i = heap_.size();
   heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!before(e, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = e;
 }
 
 void Engine::popHeap() noexcept {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  // Move the last leaf into the root's hole and sift it down past the
+  // smallest of up to four children.
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = i * kArity + 1;
+    if (first >= n) break;
+    const std::size_t end = first + kArity < n ? first + kArity : n;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
 }
 
 EventId Engine::schedule(TimePoint t, Callback cb) {

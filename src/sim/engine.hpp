@@ -19,7 +19,11 @@
 /// Hot-path design: the common (never-cancelled) event performs zero hash
 /// lookups and zero per-event heap allocations. Callbacks live in a
 /// generation-tagged slot pool (`SmallFn` inline storage, recycled through a
-/// free list); the priority queue holds 24-byte POD entries only. An
+/// free list); the priority queue is a 4-ary min-heap of 24-byte POD entries
+/// (half the depth of a binary heap, and a node's four children share one
+/// or two cache lines). Every key `(time, seq)` is unique, so the pop order
+/// is the same as any other heap's, and trace hashes do not depend on the
+/// heap's shape. An
 /// `EventId` encodes {slot, generation}: cancellation bumps the slot's
 /// generation, turning the queued entry into a tombstone that pop skips with
 /// a single array compare — no cancelled-set, no pending-set.
@@ -33,7 +37,10 @@ using EventId = std::uint64_t;
 
 class Engine {
  public:
-  using Callback = SmallFn;
+  /// Capacity 144: the largest hot capture is a UCX arrival (worker pointer
+  /// plus `Worker::Incoming`, see ucx/worker.hpp) or a PE continuation
+  /// (`cmi::PeFn` plus the PE pointer).
+  using Callback = SmallFn<void(), 144>;
 
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -100,12 +107,13 @@ class Engine {
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;  // FIFO among simultaneous events
-    }
-  };
+  /// Heap order: earlier time first, FIFO (lower seq) among simultaneous
+  /// events.
+  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+  static constexpr std::size_t kArity = 4;
 
   /// Callbacks live in fixed-size blocks so pool growth never moves a stored
   /// callable (a std::vector<Callback> would relocate every element through
@@ -125,7 +133,7 @@ class Engine {
     return slot_gen_[e.slot] != e.gen;
   }
 
-  std::vector<HeapEntry> heap_;  ///< binary min-heap via std::push_heap/pop_heap
+  std::vector<HeapEntry> heap_;  ///< 4-ary min-heap under before()
   std::vector<std::unique_ptr<Callback[]>> cb_blocks_;
   std::vector<std::uint32_t> slot_gen_;  ///< current generation of each slot
   std::vector<std::uint32_t> free_slots_;

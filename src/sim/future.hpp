@@ -2,11 +2,13 @@
 
 #include <cassert>
 #include <coroutine>
-#include <functional>
-#include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "sim/pooled.hpp"
+#include "sim/small_fn.hpp"
 
 /// \file future.hpp
 /// Single-threaded simulation futures.
@@ -18,6 +20,12 @@
 /// synchronously at the current virtual time; callers that need a scheduling
 /// delay model it explicitly before calling set().
 ///
+/// The shared state is a sim::Pooled block (intrusive refcount, recycled
+/// storage). Nearly every future has at most one coroutine waiter and one
+/// callback, so both are stored inline; a second of either spills into a
+/// vector. A state can also count down a join (allOf): set() fires when the
+/// last expected arrival lands.
+///
 /// This is the same abstraction Charm4py exposes to Python programs [17] and
 /// what the channel API suspends on.
 
@@ -28,38 +36,61 @@ class Future;
 
 namespace detail {
 
+struct Unit {};
+
 template <class T>
 struct FutureState {
-  std::optional<T> value;
-  std::vector<std::coroutine_handle<>> waiters;
-  std::vector<std::function<void(const T&)>> callbacks;
+  using Value = std::conditional_t<std::is_void_v<T>, Unit, T>;
+  /// Capacity 48: the audited captures are an object pointer, a Promise or
+  /// request handle plus a pointer, or an MPI status (docs/architecture.md).
+  using Callback =
+      std::conditional_t<std::is_void_v<T>, SmallFn<void(), 48>, SmallFn<void(const Value&), 48>>;
+
+  std::optional<Value> value;
+  std::coroutine_handle<> waiter;
+  Callback callback;
+  std::vector<std::coroutine_handle<>> more_waiters;
+  std::vector<Callback> more_callbacks;
+  std::size_t join_pending = 0;  ///< arrivals still expected (allOf)
 
   [[nodiscard]] bool ready() const noexcept { return value.has_value(); }
 
-  void fulfil(T v) {
+  void addWaiter(std::coroutine_handle<> h) {
+    if (!waiter) {
+      waiter = h;
+    } else {
+      more_waiters.push_back(h);
+    }
+  }
+
+  void addCallback(Callback cb) {
+    if (!callback) {
+      callback = std::move(cb);
+    } else {
+      more_callbacks.push_back(std::move(cb));
+    }
+  }
+
+  template <class Cb>
+  void run(Cb& cb) {
+    if constexpr (std::is_void_v<T>) {
+      cb();
+    } else {
+      cb(*value);
+    }
+  }
+
+  /// Callbacks first, then coroutine waiters, each in registration order.
+  void fulfil(Value v) {
     assert(!ready() && "future fulfilled twice");
     value.emplace(std::move(v));
-    auto cbs = std::move(callbacks);
-    auto ws = std::move(waiters);
-    for (auto& cb : cbs) cb(*value);
-    for (auto h : ws) h.resume();
-  }
-};
-
-template <>
-struct FutureState<void> {
-  bool done = false;
-  std::vector<std::coroutine_handle<>> waiters;
-  std::vector<std::function<void()>> callbacks;
-
-  [[nodiscard]] bool ready() const noexcept { return done; }
-
-  void fulfil() {
-    assert(!done && "future fulfilled twice");
-    done = true;
-    auto cbs = std::move(callbacks);
-    auto ws = std::move(waiters);
-    for (auto& cb : cbs) cb();
+    Callback cb = std::move(callback);
+    auto cbs = std::move(more_callbacks);
+    const std::coroutine_handle<> w = std::exchange(waiter, nullptr);
+    auto ws = std::move(more_waiters);
+    if (cb) run(cb);
+    for (auto& c : cbs) run(c);
+    if (w) w.resume();
     for (auto h : ws) h.resume();
   }
 };
@@ -69,92 +100,91 @@ struct FutureState<void> {
 /// Write end of a future. Copyable; all copies refer to the same state.
 template <class T>
 class Promise {
+  using State = detail::FutureState<T>;
+
  public:
-  Promise() : state_(std::make_shared<detail::FutureState<T>>()) {}
+  Promise() : state_(Pooled<State>::make()) {}
 
   [[nodiscard]] Future<T> future() const noexcept;
 
-  void set(T v) const { state_->fulfil(std::move(v)); }
+  void set(typename State::Value v) const
+    requires(!std::is_void_v<T>)
+  {
+    fulfil(std::move(v));
+  }
+  void set() const
+    requires std::is_void_v<T>
+  {
+    fulfil(detail::Unit{});
+  }
   [[nodiscard]] bool ready() const noexcept { return state_->ready(); }
 
- private:
-  std::shared_ptr<detail::FutureState<T>> state_;
-};
-
-template <>
-class Promise<void> {
- public:
-  Promise() : state_(std::make_shared<detail::FutureState<void>>()) {}
-
-  [[nodiscard]] Future<void> future() const noexcept;
-
-  void set() const { state_->fulfil(); }
-  [[nodiscard]] bool ready() const noexcept { return state_->ready(); }
+  /// Join counting (allOf): expect `n` arrivals; the n-th arrive() sets the
+  /// promise. The count lives in the pooled state, not in a separate block.
+  void expect(std::size_t n) const noexcept { state_->join_pending = n; }
+  void arrive() const
+    requires std::is_void_v<T>
+  {
+    assert(state_->join_pending > 0);
+    if (--state_->join_pending == 0) set();
+  }
 
  private:
-  std::shared_ptr<detail::FutureState<void>> state_;
+  void fulfil(typename State::Value v) const {
+    // Hold a reference while continuations run: one of them may drop the
+    // last other handle to this state.
+    const Pooled<State> keep = state_;
+    keep->fulfil(std::move(v));
+  }
+
+  Pooled<State> state_;
 };
 
 /// Read end of a future: awaitable from coroutines, or subscribe a callback.
 template <class T>
 class Future {
+  using State = detail::FutureState<T>;
+
  public:
-  explicit Future(std::shared_ptr<detail::FutureState<T>> s) : state_(std::move(s)) {}
+  /// Callback type accepted by onReady(): `void(const T&)`, or `void()` for
+  /// Future<void>.
+  using Callback = typename State::Callback;
+
+  explicit Future(Pooled<State> s) noexcept : state_(std::move(s)) {}
 
   [[nodiscard]] bool ready() const noexcept { return state_->ready(); }
 
   /// The fulfilled value; only valid once ready().
-  [[nodiscard]] const T& get() const {
+  [[nodiscard]] const typename State::Value& get() const
+    requires(!std::is_void_v<T>)
+  {
     assert(ready());
     return *state_->value;
   }
 
   /// Runs `cb` when the future completes (immediately if already complete).
-  void onReady(std::function<void(const T&)> cb) const {
+  void onReady(Callback cb) const {
     if (state_->ready()) {
-      cb(*state_->value);
+      state_->run(cb);
     } else {
-      state_->callbacks.push_back(std::move(cb));
+      state_->addCallback(std::move(cb));
     }
   }
 
   // --- coroutine support -----------------------------------------------
   bool await_ready() const noexcept { return state_->ready(); }
-  void await_suspend(std::coroutine_handle<> h) const { state_->waiters.push_back(h); }
-  T await_resume() const { return *state_->value; }
-
- private:
-  std::shared_ptr<detail::FutureState<T>> state_;
-};
-
-template <>
-class Future<void> {
- public:
-  explicit Future(std::shared_ptr<detail::FutureState<void>> s) : state_(std::move(s)) {}
-
-  [[nodiscard]] bool ready() const noexcept { return state_->ready(); }
-
-  void onReady(std::function<void()> cb) const {
-    if (state_->ready()) {
-      cb();
-    } else {
-      state_->callbacks.push_back(std::move(cb));
-    }
+  void await_suspend(std::coroutine_handle<> h) const { state_->addWaiter(h); }
+  T await_resume() const {
+    if constexpr (!std::is_void_v<T>) return *state_->value;
   }
 
-  bool await_ready() const noexcept { return state_->ready(); }
-  void await_suspend(std::coroutine_handle<> h) const { state_->waiters.push_back(h); }
-  void await_resume() const noexcept {}
-
  private:
-  std::shared_ptr<detail::FutureState<void>> state_;
+  Pooled<State> state_;
 };
 
 template <class T>
 Future<T> Promise<T>::future() const noexcept {
   return Future<T>{state_};
 }
-
-inline Future<void> Promise<void>::future() const noexcept { return Future<void>{state_}; }
 
 }  // namespace cux::sim

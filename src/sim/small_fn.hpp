@@ -1,42 +1,61 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
-#include <memory>
+#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 /// \file small_fn.hpp
-/// Move-only callable wrapper with a large inline buffer, used as the
-/// engine's event callback type.
+/// The repository's one callback type: a move-only callable wrapper with an
+/// inline buffer whose size each alias picks for its own captures.
 ///
-/// `std::function<void()>` heap-allocates any capture above ~16 bytes, which
-/// is nearly every continuation the communication layers schedule (request
-/// pointer + completion function is already 48 bytes). SmallFn sizes its
-/// inline storage for the largest hot-path captures in the repository — a
-/// `Worker::Incoming` arrival plus the worker pointer (see ucx/worker.hpp) —
-/// so the event hot path performs zero per-event allocations. Callables that
-/// still do not fit fall back to the heap transparently.
+/// `std::function` heap-allocates any capture above 16 bytes, and it must be
+/// copyable, so a callback that travels through several layers is copied at
+/// each hand-off. Nearly every continuation on the message path captures
+/// more than that. `SmallFn<Sig, Capacity>` stores any callable of up to
+/// `Capacity` bytes in place, moves instead of copying, and falls back to
+/// the heap only for a callable that does not fit.
+///
+/// Each layer names its own alias with a capacity sized for the hot captures
+/// stored in it (the capture audit in docs/architecture.md, "Event engine
+/// hot path"): the engine's `Engine::Callback` holds the largest,
+/// `ucx::CompletionFn`, `cmi::PeFn`, `core::DoneFn` and the future callbacks
+/// hold less. A wider alias can hold a narrower one inline, which is how a
+/// callback passes down the stack without an allocation. The
+/// `HotUcxCaptureShapesStayInline` test pins the audited shapes.
 
 namespace cux::sim {
 
-class SmallFn {
+template <class Sig, std::size_t Capacity = 144>
+class SmallFn;
+
+/// Callable wrappers that can be empty: wrapping an empty one yields an
+/// empty SmallFn, so `if (cb)` keeps its meaning across a hand-off.
+template <class T>
+inline constexpr bool is_nullable_fn_v = false;
+template <class Sig, std::size_t Capacity>
+inline constexpr bool is_nullable_fn_v<SmallFn<Sig, Capacity>> = true;
+template <class Sig>
+inline constexpr bool is_nullable_fn_v<std::function<Sig>> = true;
+
+template <class R, class... Args, std::size_t Capacity>
+class SmallFn<R(Args...), Capacity> {
  public:
-  /// Sized so that every event lambda scheduled by src/ucx, src/core and
-  /// src/converse fits inline; keep in sync with the capture audit in
-  /// docs/architecture.md if Worker::Incoming grows. (144 = the 128-byte
-  /// Incoming — including the reliability sequence number — plus the worker
-  /// pointer, rounded up to the next 16-byte alignment boundary.)
-  static constexpr std::size_t kInlineCapacity = 144;
+  static constexpr std::size_t kInlineCapacity = Capacity;
 
   SmallFn() noexcept = default;
   SmallFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::remove_cvref_t<F>, SmallFn> &&
-                                        std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
+                                        std::is_invocable_r_v<R, std::remove_cvref_t<F>&, Args...>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::remove_cvref_t<F>;
+    if constexpr (is_nullable_fn_v<Fn>) {
+      if (!f) return;
+    }
     if constexpr (fitsInline<Fn>()) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::ops;
@@ -76,28 +95,44 @@ class SmallFn {
 
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  void operator()() {
-    if (ops_) ops_->invoke(storage_);
+  /// Invokes the callable. An empty `void` callback is a no-op; any other
+  /// empty callback must not be invoked.
+  R operator()(Args... args) {
+    if constexpr (std::is_void_v<R>) {
+      if (ops_) ops_->invoke(storage_, std::forward<Args>(args)...);
+    } else {
+      assert(ops_ && "invoked an empty SmallFn");
+      return ops_->invoke(storage_, std::forward<Args>(args)...);
+    }
   }
 
   /// True when a callable of type `Fn` is stored without a heap allocation
   /// (exposed for the capture-size regression tests).
   template <typename Fn>
   [[nodiscard]] static constexpr bool fitsInline() noexcept {
-    return sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(std::max_align_t) &&
+    return sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= kAlign &&
            std::is_nothrow_move_constructible_v<Fn>;
   }
 
  private:
+  /// Pointer alignment: every audited capture is pointers, integers and
+  /// standard containers, and the narrower alignment keeps the wrapper at
+  /// Capacity + 8 bytes, so one alias nests in another without padding.
+  static constexpr std::size_t kAlign = alignof(void*);
+  static_assert(Capacity >= sizeof(void*) && Capacity % kAlign == 0,
+                "capacity must hold the heap fallback pointer and keep alignment");
+
   struct Ops {
-    void (*invoke)(void*);
+    R (*invoke)(void*, Args&&...);
     void (*relocate)(void* dst, void* src) noexcept;  ///< move-construct dst, destroy src
     void (*destroy)(void*) noexcept;
   };
 
   template <typename Fn>
   struct InlineOps {
-    static void invoke(void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); }
+    static R invoke(void* p, Args&&... args) {
+      return (*std::launder(reinterpret_cast<Fn*>(p)))(std::forward<Args>(args)...);
+    }
     static void relocate(void* dst, void* src) noexcept {
       Fn* s = std::launder(reinterpret_cast<Fn*>(src));
       ::new (dst) Fn(std::move(*s));
@@ -110,14 +145,14 @@ class SmallFn {
   template <typename Fn>
   struct HeapOps {
     static Fn* get(void* p) noexcept { return *std::launder(reinterpret_cast<Fn**>(p)); }
-    static void invoke(void* p) { (*get(p))(); }
+    static R invoke(void* p, Args&&... args) { return (*get(p))(std::forward<Args>(args)...); }
     static void relocate(void* dst, void* src) noexcept { ::new (dst) Fn*(get(src)); }
     static void destroy(void* p) noexcept { delete get(p); }
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) std::byte storage_[kInlineCapacity];
+  alignas(kAlign) std::byte storage_[kInlineCapacity];
 };
 
 }  // namespace cux::sim

@@ -3,6 +3,9 @@
 #include <coroutine>
 #include <cstdio>
 #include <exception>
+#include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -73,18 +76,21 @@ class [[nodiscard]] FutureTask {
   Future<void> future_;
 };
 
-/// Future fulfilled when every input future is fulfilled.
-[[nodiscard]] inline Future<void> allOf(const std::vector<Future<void>>& futures) {
+/// Future fulfilled when every input future is fulfilled. `proj` maps an
+/// element of `items` to its Future<void> (identity by default), so request
+/// lists join without first being copied into a vector of futures. The join
+/// count lives in the result's pooled state.
+template <class Range = std::initializer_list<Future<void>>, class Proj = std::identity>
+[[nodiscard]] Future<void> allOf(const Range& items, Proj proj = {}) {
   Promise<void> done;
-  auto remaining = std::make_shared<std::size_t>(futures.size());
-  if (*remaining == 0) {
+  const auto n = static_cast<std::size_t>(std::size(items));
+  if (n == 0) {
     done.set();
     return done.future();
   }
-  for (const auto& f : futures) {
-    f.onReady([done, remaining] {
-      if (--*remaining == 0) done.set();
-    });
+  done.expect(n);
+  for (const auto& item : items) {
+    std::invoke(proj, item).onReady([done] { done.arrive(); });
   }
   return done.future();
 }

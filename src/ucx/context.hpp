@@ -181,13 +181,14 @@ class Context {
 
   /// Protocol selection body shared by tagSend and the host-staged fallback
   /// (which re-enters it with src_device forced off after the D2H copy).
+  /// `req` carries the completion callback (Request::on_complete).
   void startSend(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                 bool src_device, RequestPtr req, CompletionFn cb);
+                 bool src_device, RequestPtr req);
 
   void sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                 bool src_device, RequestPtr req, CompletionFn cb);
+                 bool src_device, RequestPtr req);
   void sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                bool src_device, RequestPtr req, CompletionFn cb);
+                bool src_device, RequestPtr req);
 
   /// Result of the rendezvous data movement. `ok == false` means a leg
   /// (CTS or data) exhausted its retransmission budget: the sender has been

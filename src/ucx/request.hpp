@@ -2,10 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <vector>
+
+#include "sim/small_fn.hpp"
 
 /// \file request.hpp
 /// Non-blocking operation handles, the moral equivalent of ucs_status_ptr_t
@@ -24,6 +25,13 @@ inline constexpr Tag kFullMask = ~Tag{0};
 /// the failure detector declared the peer PE dead. Either is surfaced
 /// through the completion callback exactly once — an operation never hangs.
 enum class ReqState : std::uint8_t { Pending, Done, Cancelled, Error, PeerFailed };
+
+struct Request;
+
+/// Completion callback; the request is fully populated when invoked.
+/// Capacity 112: the largest audited capture is DeviceComm's send
+/// completion (context, PEs, pointer, size, tag and a core::DoneFn).
+using CompletionFn = sim::SmallFn<void(Request&), 112>;
 
 struct Request {
   ReqState state = ReqState::Pending;
@@ -54,12 +62,23 @@ struct Request {
   enum class MatchQueue : std::uint8_t { None, Exact, Wildcard, Linear };
   std::uint32_t match_slot = kNoSlot;
   MatchQueue match_queue = MatchQueue::None;
+
+  /// The operation's one completion callback. It lives here, in the pooled
+  /// request, rather than in each structure that carries the operation (a
+  /// posted receive, an in-flight rendezvous, a retransmit's wire state), so
+  /// it is never copied; complete() runs it once.
+  CompletionFn on_complete;
+
+  /// Runs the completion callback (if any) once, then releases its captures.
+  void complete() {
+    if (on_complete) {
+      on_complete(*this);
+      on_complete.reset();
+    }
+  }
 };
 
 using RequestPtr = std::shared_ptr<Request>;
-
-/// Completion callback; the request is fully populated when invoked.
-using CompletionFn = std::function<void(Request&)>;
 
 namespace detail {
 

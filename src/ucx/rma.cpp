@@ -39,15 +39,16 @@ RequestPtr Rma::put(int src_pe, const void* lbuf, std::uint64_t len, const Remot
   assert(rkey.valid() && offset + len <= rkey.length && "put outside registered region");
   ++puts_;
   auto req = makeReq(rkey.pe, len);
+  req->on_complete = std::move(cb);
   hw::System& sys = ctx_.system();
   const sim::TimePoint t0 =
       sys.engine.now() + sim::usec(ctx_.config().send_overhead_us);
   void* dst = static_cast<std::byte*>(rkey.base) + offset;
   const sim::TimePoint arrival = dataTransfer(src_pe, lbuf, rkey.pe, dst, len, t0);
-  sys.engine.schedule(arrival, [&sys, req, cb = std::move(cb), dst, lbuf, len] {
+  sys.engine.schedule(arrival, [&sys, req, dst, lbuf, len] {
     cuda::moveBytes(sys, dst, lbuf, len);
     req->state = ReqState::Done;
-    if (cb) cb(*req);
+    req->complete();
   });
   return req;
 }
@@ -57,6 +58,7 @@ RequestPtr Rma::get(int src_pe, void* lbuf, std::uint64_t len, const RemoteKey& 
   assert(rkey.valid() && offset + len <= rkey.length && "get outside registered region");
   ++gets_;
   auto req = makeReq(rkey.pe, len);
+  req->on_complete = std::move(cb);
   hw::System& sys = ctx_.system();
   // Get: the request travels to the target (header), the data streams back.
   const sim::TimePoint t0 =
@@ -65,10 +67,10 @@ RequestPtr Rma::get(int src_pe, void* lbuf, std::uint64_t len, const RemoteKey& 
       sys.machine.hostToHostPath(src_pe, rkey.pe), t0, ctx_.config().header_bytes);
   const void* src = static_cast<const std::byte*>(rkey.base) + offset;
   const sim::TimePoint arrival = dataTransfer(rkey.pe, src, src_pe, lbuf, len, at_target);
-  sys.engine.schedule(arrival, [&sys, req, cb = std::move(cb), lbuf, src, len] {
+  sys.engine.schedule(arrival, [&sys, req, lbuf, src, len] {
     cuda::moveBytes(sys, lbuf, src, len);
     req->state = ReqState::Done;
-    if (cb) cb(*req);
+    req->complete();
   });
   return req;
 }
@@ -78,6 +80,7 @@ RequestPtr Rma::atomicFetchAdd(int src_pe, const RemoteKey& rkey, std::uint64_t 
   assert(rkey.valid() && offset + 8 <= rkey.length);
   ++atomics_;
   auto req = makeReq(rkey.pe, 8);
+  req->on_complete = std::move(cb);
   hw::System& sys = ctx_.system();
   const sim::TimePoint t0 = sys.engine.now() + sim::usec(ctx_.config().send_overhead_us);
   // Round trip: operation to the target NIC, result back.
@@ -95,9 +98,9 @@ RequestPtr Rma::atomicFetchAdd(int src_pe, const RemoteKey& rkey, std::uint64_t 
     if (result != nullptr) *result = *w;
     *w += operand;
   });
-  sys.engine.schedule(done, [req, cb = std::move(cb)] {
+  sys.engine.schedule(done, [req] {
     req->state = ReqState::Done;
-    if (cb) cb(*req);
+    req->complete();
   });
   return req;
 }
@@ -108,6 +111,7 @@ RequestPtr Rma::atomicCompareSwap(int src_pe, const RemoteKey& rkey, std::uint64
   assert(rkey.valid() && offset + 8 <= rkey.length);
   ++atomics_;
   auto req = makeReq(rkey.pe, 8);
+  req->on_complete = std::move(cb);
   hw::System& sys = ctx_.system();
   const sim::TimePoint t0 = sys.engine.now() + sim::usec(ctx_.config().send_overhead_us);
   const sim::TimePoint at_target = hw::Machine::ctrlTransfer(
@@ -121,9 +125,9 @@ RequestPtr Rma::atomicCompareSwap(int src_pe, const RemoteKey& rkey, std::uint64
     if (result != nullptr) *result = *w;
     if (*w == expected) *w = desired;
   });
-  sys.engine.schedule(done, [req, cb = std::move(cb)] {
+  sys.engine.schedule(done, [req] {
     req->state = ReqState::Done;
-    if (cb) cb(*req);
+    req->complete();
   });
   return req;
 }

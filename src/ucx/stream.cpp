@@ -51,8 +51,9 @@ RequestPtr Streams::streamRecv(int pe, int from_pe, void* buf, std::uint64_t len
   auto req = std::make_shared<Request>();
   req->peer_pe = from_pe;
   req->bytes = len;
+  req->on_complete = std::move(cb);
   PairState& st = pair(pe, from_pe);
-  st.waiting.push_back(PendingRecv{req, buf, len, 0, std::move(cb)});
+  st.waiting.push_back(PendingRecv{req, buf, len, 0});
   drain(st);
   return req;
 }
@@ -106,7 +107,7 @@ void Streams::drain(PairState& st) {
     }
     st.bytes_avail -= p.len;
     p.req->state = ReqState::Done;
-    if (p.cb) p.cb(*p.req);
+    p.req->complete();
   }
 }
 

@@ -97,8 +97,7 @@ struct Context::WireState {
   /// Control message (rendezvous RTS): flies at control latency, and the
   /// sender request is completed later by the ATS (or by exhaustion here).
   bool ctrl = false;
-  RequestPtr req;
-  CompletionFn cb;
+  RequestPtr req;  ///< carries the completion callback (Request::on_complete)
   bool delivered = false;
 };
 
@@ -140,7 +139,7 @@ void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt
         ws->req->data_delivered = true;
         if (ws->req->state == ReqState::Pending) {
           ws->req->state = ReqState::Done;
-          if (ws->cb) ws->cb(*ws->req);
+          ws->req->complete();
         }
       }
       worker(ws->dst_pe).onArrival(std::move(ws->proto));
@@ -164,7 +163,7 @@ void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt
                            ws->src_pe);
       if (ws->req && ws->req->state == ReqState::Pending) {
         ws->req->state = ReqState::PeerFailed;
-        if (ws->cb) ws->cb(*ws->req);
+        ws->req->complete();
       }
       return;
     }
@@ -174,7 +173,7 @@ void Context::reliableTransmit(const std::shared_ptr<WireState>& ws, int attempt
                         ws->proto.len, ws->proto.tag, "retries-exhausted");
       if (ws->req && ws->req->state == ReqState::Pending) {
         ws->req->state = ReqState::Error;
-        if (ws->cb) ws->cb(*ws->req);
+        ws->req->complete();
       }
       return;
     }
@@ -259,24 +258,25 @@ RequestPtr Context::tagSend(int src_pe, int dst_pe, const void* buf, std::uint64
   req->peer_pe = dst_pe;
   req->bytes = len;
   req->matched_tag = tag;
+  req->on_complete = std::move(cb);
   ++sends_started_;
   bytes_sent_ += len;
-  startSend(src_pe, dst_pe, buf, len, tag, sys_.memory.isDevice(buf), req, std::move(cb));
+  startSend(src_pe, dst_pe, buf, len, tag, sys_.memory.isDevice(buf), req);
   return req;
 }
 
 void Context::startSend(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                        bool src_device, RequestPtr req, CompletionFn cb) {
+                        bool src_device, RequestPtr req) {
   const std::uint64_t eager_limit = src_device ? cfg_.device_eager_threshold
                                                : cfg_.host_eager_threshold;
   if (len <= eager_limit) {
     sys_.trace.record(sys_.engine.now(), sim::TraceCat::UcxSend, src_pe, dst_pe, len, tag,
                       src_device ? "eager-device" : "eager-host");
-    sendEager(src_pe, dst_pe, buf, len, tag, src_device, std::move(req), std::move(cb));
+    sendEager(src_pe, dst_pe, buf, len, tag, src_device, std::move(req));
   } else {
     sys_.trace.record(sys_.engine.now(), sim::TraceCat::UcxSend, src_pe, dst_pe, len, tag,
                       src_device ? "rndv-device" : "rndv-host");
-    sendRndv(src_pe, dst_pe, buf, len, tag, src_device, std::move(req), std::move(cb));
+    sendRndv(src_pe, dst_pe, buf, len, tag, src_device, std::move(req));
   }
 }
 
@@ -288,6 +288,7 @@ RequestPtr Context::tagSendHostStaged(int src_pe, int dst_pe, const void* buf, s
   req->peer_pe = dst_pe;
   req->bytes = len;
   req->matched_tag = tag;
+  req->on_complete = std::move(cb);
   ++sends_started_;
   bytes_sent_ += len;
 
@@ -299,9 +300,8 @@ RequestPtr Context::tagSendHostStaged(int src_pe, int dst_pe, const void* buf, s
   const hw::GpuId gpu = sys_.machine.gpuOfPe(src_pe);
   const sim::TimePoint staged =
       sys_.machine.gpuUp(gpu).reserve(engine.now() + sim::usec(cfg_.cuda_stage_latency_us), len);
-  engine.schedule(staged, [this, src_pe, dst_pe, buf, len, tag, req, cb = std::move(cb)]() mutable {
-    startSend(src_pe, dst_pe, buf, len, tag, /*src_device=*/false, std::move(req),
-              std::move(cb));
+  engine.schedule(staged, [this, src_pe, dst_pe, buf, len, tag, req]() mutable {
+    startSend(src_pe, dst_pe, buf, len, tag, /*src_device=*/false, std::move(req));
   });
   return req;
 }
@@ -312,6 +312,7 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
   req->peer_pe = dst_pe;
   req->bytes = payload.size();
   req->matched_tag = tag;
+  req->on_complete = std::move(cb);
   ++sends_started_;
   bytes_sent_ += payload.size();
 
@@ -333,13 +334,12 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
       ws->dst_pe = dst_pe;
       ws->cls = sim::MsgClass::Am;
       ws->req = req;
-      ws->cb = std::move(cb);
       engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
       return req;
     }
-    engine.schedule(t0, [req, cb] {
+    engine.schedule(t0, [req] {
       req->state = ReqState::Done;
-      if (cb) cb(*req);
+      req->complete();
     });
     const hw::Path path = sys_.machine.hostToHostPath(src_pe, dst_pe);
     const sim::TimePoint arrival = sys_.machine.transfer(path, t0, len + cfg_.header_bytes);
@@ -368,7 +368,6 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
   msg.is_rndv = true;
   msg.src_ptr = shared_payload->data();
   msg.send_req = req;
-  msg.send_cb = cb;
   msg.payload_owner = std::move(shared_payload);
   if (reliable()) {
     // The RTS is a control message: retransmitted until one copy is
@@ -381,7 +380,6 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
     ws->cls = sim::MsgClass::RndvCtrl;
     ws->ctrl = true;
     ws->req = req;
-    ws->cb = std::move(cb);
     engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
     return req;
   }
@@ -393,7 +391,7 @@ RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byt
 }
 
 void Context::sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                        bool src_device, RequestPtr req, CompletionFn cb) {
+                        bool src_device, RequestPtr req) {
   sim::Engine& engine = sys_.engine;
   sim::TimePoint t0 = engine.now() + sim::usec(cfg_.send_overhead_us);
   if (src_device) t0 = stageDeviceEager(t0, src_pe, len, /*egress=*/true);
@@ -420,15 +418,14 @@ void Context::sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t l
     ws->dst_pe = dst_pe;
     ws->cls = sim::MsgClass::Eager;
     ws->req = std::move(req);
-    ws->cb = std::move(cb);
     engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
     return;
   }
 
   // Eager sends complete locally once the payload has been captured.
-  engine.schedule(t0, [req, cb] {
+  engine.schedule(t0, [req = std::move(req)] {
     req->state = ReqState::Done;
-    if (cb) cb(*req);
+    req->complete();
   });
 
   const hw::Path path = sys_.machine.hostToHostPath(src_pe, dst_pe);
@@ -439,7 +436,7 @@ void Context::sendEager(int src_pe, int dst_pe, const void* buf, std::uint64_t l
 }
 
 void Context::sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t len, Tag tag,
-                       bool src_device, RequestPtr req, CompletionFn cb) {
+                       bool src_device, RequestPtr req) {
   sim::Engine& engine = sys_.engine;
   const sim::TimePoint t0 = engine.now() + sim::usec(cfg_.send_overhead_us);
 
@@ -451,7 +448,6 @@ void Context::sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t le
   msg.src_ptr = buf;
   msg.src_device = src_device;
   msg.send_req = req;
-  msg.send_cb = cb;
 
   if (reliable()) {
     auto ws = std::make_shared<WireState>();
@@ -461,7 +457,6 @@ void Context::sendRndv(int src_pe, int dst_pe, const void* buf, std::uint64_t le
     ws->cls = sim::MsgClass::RndvCtrl;
     ws->ctrl = true;
     ws->req = std::move(req);
-    ws->cb = std::move(cb);
     engine.schedule(t0, [this, ws] { reliableTransmit(ws, 0); });
     return;
   }
@@ -615,8 +610,7 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
     }
   }
 
-  RequestPtr send_req = msg.send_req;
-  CompletionFn send_cb = msg.send_cb;
+  const RequestPtr& send_req = msg.send_req;
 
   if (failed) {
     // The CTS or data leg exhausted its budget (or a peer is known dead):
@@ -634,10 +628,10 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
     }
     sys_.trace.record(data_arrival, sim::TraceCat::Drop, src_pe, dst_pe, len, msg.tag,
                       "rndv-failed");
-    engine.schedule(data_arrival, [send_req, send_cb, peer_dead] {
+    engine.schedule(data_arrival, [send_req, peer_dead] {
       if (send_req && send_req->state == ReqState::Pending) {
         send_req->state = peer_dead ? ReqState::PeerFailed : ReqState::Error;
-        if (send_cb) send_cb(*send_req);
+        send_req->complete();
       }
     });
     return {data_arrival, false};
@@ -678,7 +672,7 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
                        src_pe, ats_ok ? 1 : 0);
   const bool ats_peer_dead =
       !ats_ok && (peerKnownDead(ats_arrival, src_pe) || peerKnownDead(ats_arrival, dst_pe));
-  engine.schedule(ats_arrival, [send_req, send_cb, ats_ok, ats_peer_dead] {
+  engine.schedule(ats_arrival, [send_req, ats_ok, ats_peer_dead] {
     if (send_req && send_req->state == ReqState::Pending) {
       // The data leg finished before the ATS was even attempted, so the
       // receiver has the payload either way; an Error (or PeerFailed, when
@@ -688,7 +682,7 @@ Context::RndvResult Context::rndvTransfer(const Worker::Incoming& msg, int dst_p
       send_req->data_delivered = true;
       send_req->state =
           ats_ok ? ReqState::Done : (ats_peer_dead ? ReqState::PeerFailed : ReqState::Error);
-      if (send_cb) send_cb(*send_req);
+      send_req->complete();
     }
   });
   return {data_arrival, true};
@@ -840,7 +834,8 @@ void Worker::dispatchMatch(PostedRecv r, Incoming msg) {
 
 RequestPtr Worker::tagRecv(void* buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb) {
   RequestPtr req = ctx_.makeRequest();
-  PostedRecv r{req, buf, len, tag, mask, std::move(cb)};
+  req->on_complete = std::move(cb);
+  PostedRecv r{req, buf, len, tag, mask};
 
   // A hit in the unexpected store below ends the early-arrival wait: the
   // payload got here before this receive was posted (the paper's
@@ -930,11 +925,11 @@ bool Worker::cancelRecv(const RequestPtr& req) {
   // completion: invoking it synchronously would reenter worker state
   // mid-operation (the callback may repost, cancel, or send) and give
   // cancellation an ordering no other completion path has.
-  auto deliverCancel = [this, &req](CompletionFn cb) {
+  auto deliverCancel = [this, &req] {
     req->state = ReqState::Cancelled;
-    if (cb) {
+    if (req->on_complete) {
       sim::Engine& engine = ctx_.system().engine;
-      engine.schedule(engine.now(), [req, cb = std::move(cb)] { cb(*req); });
+      engine.schedule(engine.now(), [req] { req->complete(); });
     }
   };
   switch (req->match_queue) {
@@ -946,20 +941,19 @@ bool Worker::cancelRecv(const RequestPtr& req) {
           req->match_queue == Request::MatchQueue::Exact ? posted_exact_ : posted_wild_;
       const std::uint32_t slot = req->match_slot;
       if (!store.liveAt(slot) || store.at(slot).req != req) return false;
-      PostedRecv r = store.take(slot);
+      (void)store.take(slot);
       req->match_slot = Request::kNoSlot;
       req->match_queue = Request::MatchQueue::None;
-      deliverCancel(std::move(r.cb));
+      deliverCancel();
       return true;
     }
     case Request::MatchQueue::Linear:
       for (auto it = posted_.begin(); it != posted_.end(); ++it) {
         ++linear_scan_steps_;
         if (it->req == req) {
-          CompletionFn cb = std::move(it->cb);
           posted_.erase(it);
           req->match_queue = Request::MatchQueue::None;
-          deliverCancel(std::move(cb));
+          deliverCancel();
           return true;
         }
       }
@@ -1031,7 +1025,8 @@ void Worker::onArrival(Incoming msg) {
     if (!tagsMatch(msg.tag, bh.tag, bh.mask)) continue;
     auto [buf, cb] = bh.fn(msg.len, msg.tag, msg.src_pe);
     if (buf == nullptr && msg.len > 0) continue;  // declined
-    PostedRecv r{ctx_.makeRequest(), buf, msg.len, msg.tag, kFullMask, std::move(cb)};
+    PostedRecv r{ctx_.makeRequest(), buf, msg.len, msg.tag, kFullMask};
+    r.req->on_complete = std::move(cb);
     dispatchMatch(std::move(r), std::move(msg));
     return;
   }
@@ -1082,10 +1077,9 @@ void Worker::completeRecvFromEager(PostedRecv r, Incoming msg) {
   req->bytes = msg.len;
   req->peer_pe = msg.src_pe;
   void* buf = r.buf;
-  CompletionFn cb = std::move(r.cb);
   // Capture the payload fields individually instead of the whole Incoming:
-  // the completion then fits SmallFn's inline buffer (no allocation).
-  engine.schedule(t, [this, req, cb = std::move(cb), buf, payload = std::move(msg.payload),
+  // the completion then fits Engine::Callback's inline buffer.
+  engine.schedule(t, [this, req = std::move(req), buf, payload = std::move(msg.payload),
                       payload_valid = msg.payload_valid, tag = msg.tag, src_pe = msg.src_pe,
                       len = msg.len]() mutable {
     hw::System& sys = ctx_.system();
@@ -1097,7 +1091,7 @@ void Worker::completeRecvFromEager(PostedRecv r, Incoming msg) {
     ctx_.recycleBuffer(std::move(payload));
     req->state = ReqState::Done;
     sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe_, src_pe, len, tag, "eager");
-    if (cb) cb(*req);
+    req->complete();
   });
 }
 
@@ -1118,17 +1112,16 @@ void Worker::startRndvTransfer(PostedRecv r, Incoming msg) {
     // scheduled) instead of leaving the request pending forever.
     const bool peer_dead = ctx.peerKnownDead(res.data_arrival, msg.src_pe) ||
                            ctx.peerKnownDead(res.data_arrival, pe_);
-    CompletionFn fail_cb = std::move(r.cb);
     const int pe = pe_;
     const Tag tag = msg.tag;
     const int src_pe = msg.src_pe;
     const std::uint64_t len = msg.len;
-    engine.schedule(res.data_arrival, [&sys = ctx.system(), req, cb = std::move(fail_cb), pe,
-                                       tag, src_pe, len, peer_dead] {
+    engine.schedule(res.data_arrival, [&sys = ctx.system(), req, pe, tag, src_pe, len,
+                                       peer_dead] {
       req->state = peer_dead ? ReqState::PeerFailed : ReqState::Error;
       sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe, src_pe, len, tag,
                        "rndv-failed");
-      if (cb) cb(*req);
+      req->complete();
     });
     return;
   }
@@ -1137,18 +1130,17 @@ void Worker::startRndvTransfer(PostedRecv r, Incoming msg) {
   void* buf = r.buf;
   const void* src = msg.src_ptr;
   const std::uint64_t len = msg.len;
-  CompletionFn cb = std::move(r.cb);
   const int pe = pe_;
   const Tag tag = msg.tag;
   const int src_pe = msg.src_pe;
   // `owner` keeps an amSend-owned payload alive until this copy executes;
   // the sender-side ATS completion may already have fired by then.
-  engine.schedule(done, [&sys = ctx.system(), req, cb = std::move(cb), buf, src, len, pe, tag,
+  engine.schedule(done, [&sys = ctx.system(), req = std::move(req), buf, src, len, pe, tag,
                          src_pe, owner = std::move(msg.payload_owner)] {
     cuda::moveBytes(sys, buf, src, len);
     req->state = ReqState::Done;
     sys.trace.record(sys.engine.now(), sim::TraceCat::UcxRecv, pe, src_pe, len, tag, "rndv");
-    if (cb) cb(*req);
+    req->complete();
   });
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -53,7 +54,9 @@ struct Delivery {
   int src_pe = -1;
   std::uint64_t len = 0;
 };
-using HandlerFn = std::function<void(Delivery)>;
+/// Registered once per handler; the audited captures are an object pointer
+/// and a PE index.
+using HandlerFn = sim::SmallFn<void(Delivery), 16>;
 
 class Worker {
  public:
@@ -65,7 +68,8 @@ class Worker {
   [[nodiscard]] Context& context() noexcept { return ctx_; }
 
   /// Posts a receive for a message matching `tag` under `mask`
-  /// (ucp_tag_recv_nb). `buf` must stay valid until completion.
+  /// (ucp_tag_recv_nb). `buf` must stay valid until completion; `cb` is
+  /// stored in the returned request (Request::on_complete).
   RequestPtr tagRecv(void* buf, std::uint64_t len, Tag tag, Tag mask, CompletionFn cb);
 
   /// Registers a persistent handler for messages matching `tag` under `mask`.
@@ -145,22 +149,24 @@ class Worker {
  private:
   friend class Context;
 
+  /// A posted receive; its completion callback lives in `req`.
   struct PostedRecv {
     RequestPtr req;
     void* buf = nullptr;
     std::uint64_t len = 0;
     Tag tag = 0;
     Tag mask = 0;
-    CompletionFn cb;
   };
 
   /// An arriving message the matching engine operates on. Exactly one of the
   /// two shapes is populated: eager (payload travelled with the header) or
   /// rendezvous (payload still lives at src_ptr on the sender).
   ///
-  /// Field order packs the struct to 120 bytes so an arrival capture
-  /// (worker pointer + Incoming) fits sim::SmallFn's inline buffer; audit
-  /// sizes before adding fields (see docs/architecture.md). Matching-engine
+  /// Field order packs the struct to 88 bytes so an arrival capture
+  /// (worker pointer + Incoming) fits Engine::Callback's inline buffer;
+  /// audit sizes before adding fields (see docs/architecture.md). The
+  /// sender's completion callback is not copied in here: it stays in
+  /// `send_req` (Request::on_complete). Matching-engine
   /// bookkeeping (arrival sequence numbers, bucket links) deliberately lives
   /// in the BucketFifo nodes, not here, to hold that budget.
   ///
@@ -173,8 +179,7 @@ class Worker {
     std::uint64_t len = 0;
     const void* src_ptr = nullptr;   ///< rendezvous: payload still at the sender
     std::vector<std::byte> payload;  ///< eager: payload travelled with the header
-    RequestPtr send_req;             ///< rendezvous: sender-side request
-    CompletionFn send_cb;            ///< rendezvous: sender-side completion
+    RequestPtr send_req;             ///< rendezvous: sender-side request and its completion
     /// Owner of a rendezvous payload whose storage is not anchored by the
     /// caller (amSend's owned vectors). The receiver-side copy holds this
     /// until the memcpy from src_ptr has executed, which can be *after* the

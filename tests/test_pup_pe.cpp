@@ -137,7 +137,7 @@ TEST(Pe, RunHookWrapsContinuations) {
   cmi::Pe pe(e, 5);
   int hook_pe = -1;
   bool ran = false;
-  pe.run_hook = [&](int id, std::function<void()>& fn) {
+  pe.run_hook = [&](int id, cmi::PeFn& fn) {
     hook_pe = id;
     fn();
   };

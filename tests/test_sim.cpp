@@ -2,13 +2,17 @@
 
 #include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
 #include <vector>
 
+#include "converse/pe.hpp"
 #include "sim/engine.hpp"
-#include "sim/small_fn.hpp"
 #include "sim/future.hpp"
 #include "sim/rng.hpp"
+#include "sim/small_fn.hpp"
 #include "sim/task.hpp"
+#include "ucx/request.hpp"
 
 namespace {
 
@@ -292,17 +296,135 @@ TEST(Engine, DeterministicAcrossRuns) {
   EXPECT_EQ(trace(), trace());
 }
 
+// --------------------------------------------------------------------------
+// Heap order: the engine's 4-ary heap fires events in exactly the
+// (time, seq) order of a std::priority_queue, under random schedule /
+// cancel / runUntil mixes with reentrant and same-time schedules.
+// --------------------------------------------------------------------------
+
+namespace heap_order {
+
+using Fired = std::vector<std::pair<sim::TimePoint, std::uint64_t>>;
+
+/// Children an event with sequence number `seq` schedules when it fires:
+/// a pure function of (seed, seq), so both engines make the same calls.
+/// 0, 1 or 2 children with mean 5/8, so every cascade dies out.
+std::vector<sim::Duration> childDelays(std::uint64_t seed, std::uint64_t seq) {
+  sim::SplitMix64 rng(seed ^ (seq * 0x9e3779b97f4a7c15ULL));
+  const std::uint64_t n = rng.below(8);
+  std::vector<sim::Duration> d(n < 4 ? 0 : n < 7 ? 1 : 2);
+  for (auto& x : d) x = rng.below(4) == 0 ? 0 : rng.below(200);
+  return d;
+}
+
+/// Reference engine: std::priority_queue on (time, seq), cancelled entries
+/// skipped at pop, the same clock rules as sim::Engine.
+struct Reference {
+  using Key = std::pair<sim::TimePoint, std::uint64_t>;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> q;
+  std::vector<char> state;  ///< per seq: 0 pending, 1 fired, 2 cancelled
+  sim::TimePoint now = 0;
+  std::uint64_t seed;
+  std::uint64_t live = 0;
+  Fired fired;
+
+  explicit Reference(std::uint64_t s) : seed(s) {}
+  void schedule(sim::TimePoint t) {
+    const std::uint64_t seq = state.size();
+    state.push_back(0);
+    ++live;
+    q.emplace(t < now ? now : t, seq);
+  }
+  bool cancel(std::uint64_t seq) {
+    if (seq >= state.size() || state[seq] != 0) return false;
+    state[seq] = 2;
+    --live;
+    return true;
+  }
+  void fire(const Key& k) {
+    now = k.first;
+    state[k.second] = 1;
+    --live;
+    fired.push_back(k);
+    for (const sim::Duration d : childDelays(seed, k.second)) schedule(now + d);
+  }
+  bool runUntil(sim::TimePoint t) {
+    for (;;) {
+      while (!q.empty() && state[q.top().second] == 2) q.pop();
+      if (q.empty() || q.top().first > t) break;
+      const Key k = q.top();
+      q.pop();
+      fire(k);
+    }
+    if (t > now) now = t;
+    return live == 0;
+  }
+};
+
+struct UnderTest {
+  sim::Engine e;
+  std::uint64_t seed;
+  Fired fired;
+  std::vector<sim::EventId> ids;  ///< by seq
+
+  explicit UnderTest(std::uint64_t s) : seed(s) {}
+  void schedule(sim::TimePoint t) {
+    const std::uint64_t seq = e.eventsScheduled();
+    ASSERT_EQ(seq, ids.size());
+    ids.push_back(0);
+    ids[seq] = e.schedule(t, [this, seq] {
+      fired.emplace_back(e.now(), seq);
+      for (const sim::Duration d : childDelays(seed, seq)) schedule(e.now() + d);
+    });
+  }
+};
+
+}  // namespace heap_order
+
+TEST(Engine, FourAryHeapFiresInPriorityQueueOrder) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    heap_order::UnderTest ut(seed);
+    heap_order::Reference ref(seed);
+    sim::SplitMix64 rng(seed);
+    for (int op = 0; op < 3000; ++op) {
+      const std::uint64_t kind = rng.below(10);
+      if (kind < 6) {
+        // Past (clamped), same-time and future schedules; bursts grow the
+        // heap to a few thousand entries.
+        const sim::TimePoint base = ut.e.now();
+        const sim::TimePoint t = rng.below(8) == 0 ? (base > 50 ? base - 50 : 0)
+                                                   : base + rng.below(500);
+        ut.schedule(t);
+        ref.schedule(t);
+      } else if (kind < 8) {
+        if (ut.ids.empty()) continue;
+        const std::uint64_t seq = rng.below(ut.ids.size());
+        ASSERT_EQ(ut.e.cancel(ut.ids[seq]), ref.cancel(seq)) << "seed " << seed;
+      } else {
+        const sim::TimePoint t = ut.e.now() + rng.below(300);
+        ASSERT_EQ(ut.e.runUntil(t), ref.runUntil(t)) << "seed " << seed;
+        ASSERT_EQ(ut.e.now(), ref.now) << "seed " << seed;
+      }
+    }
+    ut.e.run();
+    ref.runUntil(~sim::TimePoint{0} >> 1);
+    ASSERT_EQ(ut.fired, ref.fired) << "seed " << seed;
+    EXPECT_GT(ut.fired.size(), 1000u);
+    EXPECT_TRUE(ut.e.empty());
+  }
+}
+
 TEST(SmallFn, InlineAndHeapPathsBothInvoke) {
   struct Big {
-    char pad[sim::SmallFn::kInlineCapacity + 8];
+    char pad[sim::SmallFn<void()>::kInlineCapacity + 8];
   };
-  static_assert(sim::SmallFn::fitsInline<int*>());
-  static_assert(!sim::SmallFn::fitsInline<Big[2]>());
+  static_assert(sim::SmallFn<void()>::fitsInline<int*>());
+  static_assert(!sim::SmallFn<void()>::fitsInline<Big[2]>());
   int small_hits = 0, big_hits = 0;
-  sim::SmallFn small([&small_hits] { ++small_hits; });
+  sim::SmallFn<void()> small([&small_hits] { ++small_hits; });
   Big big{};
   big.pad[0] = 1;
-  sim::SmallFn large([&big_hits, big] { big_hits += big.pad[0]; });
+  sim::SmallFn<void()> large([&big_hits, big] { big_hits += big.pad[0]; });
   small();
   small();
   large();
@@ -314,10 +436,10 @@ TEST(SmallFn, MoveTransfersOwnershipAndDestroys) {
   auto tracker = std::make_shared<int>(7);
   std::weak_ptr<int> alive = tracker;
   {
-    sim::SmallFn a([tracker] {});
+    sim::SmallFn<void()> a([tracker] {});
     tracker.reset();
     EXPECT_FALSE(alive.expired());
-    sim::SmallFn b(std::move(a));
+    sim::SmallFn<void()> b(std::move(a));
     EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
     EXPECT_TRUE(static_cast<bool>(b));
     EXPECT_FALSE(alive.expired());
@@ -327,26 +449,50 @@ TEST(SmallFn, MoveTransfersOwnershipAndDestroys) {
 }
 
 TEST(SmallFn, HotUcxCaptureShapesStayInline) {
-  // The completion-continuation shape (shared_ptr + std::function) and the
-  // arrival shape (pointer + 120-byte message) must not allocate; this is
-  // the engine hot path. If this fires after growing Worker::Incoming,
-  // either shrink it or bump SmallFn::kInlineCapacity.
+  // The hot captures of each callback alias must not allocate (see the
+  // capture audit in docs/architecture.md). If one of these fires after a
+  // capture grew, either shrink the capture or raise the alias's capacity.
+  using sim::Engine;
+  // Engine::Callback: a completion continuation (request handle; the
+  // completion callback itself lives in the request) ...
   struct Completion {
     std::shared_ptr<int> req;
-    std::function<void(int&)> cb;
   };
-  static_assert(sim::SmallFn::fitsInline<Completion>());
+  static_assert(Engine::Callback::fitsInline<Completion>());
+  // ... a UCX arrival (worker pointer + the 88-byte Worker::Incoming) ...
   struct Arrival {
     void* worker;
     std::uint64_t scalars[3];  // tag, len, src_ptr
     std::vector<std::byte> payload;
-    std::shared_ptr<int> req;
-    std::function<void(int&)> cb;
+    std::shared_ptr<int> send_req;
     std::shared_ptr<const std::vector<std::byte>> owner;
     int src_pe;
     bool flags[3];
   };
-  static_assert(sim::SmallFn::fitsInline<Arrival>());
+  static_assert(sizeof(Arrival) == 96);
+  static_assert(Engine::Callback::fitsInline<Arrival>());
+  // ... and a PE continuation (PE pointer + cmi::PeFn).
+  struct PeContinuation {
+    void* pe;
+    cmi::PeFn fn;
+  };
+  static_assert(Engine::Callback::fitsInline<PeContinuation>());
+  // cmi::PeFn: a DeviceComm send injection carries a core::DoneFn-sized
+  // callback (48 bytes of capture) plus the send's scalars.
+  using DoneShape = sim::SmallFn<void(), 48>;
+  struct SendInjection {
+    void* comm;
+    int src_pe, dst_pe;
+    const void* ptr;
+    std::uint64_t size, tag;
+    DoneShape cb;
+  };
+  static_assert(cmi::PeFn::fitsInline<SendInjection>());
+  // ucx::CompletionFn: the same shape is DeviceComm's send completion.
+  static_assert(ucx::CompletionFn::fitsInline<SendInjection>());
+  // One alias nests in a wider one at its own size, with no padding.
+  static_assert(sizeof(DoneShape) == 48 + sizeof(void*));
+  static_assert(cmi::PeFn::fitsInline<DoneShape>());
 }
 
 TEST(Time, UnitConversionsRoundTrip) {

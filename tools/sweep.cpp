@@ -190,7 +190,8 @@ StreamObs g_stream;  // NOLINT: single-threaded CLI driver state
       "  --no-gdrcopy                        simulate GDRCopy not being detected\n"
       "  --drop P                            uniform message-drop probability [0,1)\n"
       "                                      (not with loss, match, train, failstop)\n"
-      "  --fault-seed N                      fault injector seed (default 0x5eed)\n"
+      "  --fault-seed N                      fault injector seed (default 0x5eed);\n"
+      "                                      needs --drop or --metric loss\n"
       "  --drops a,b,c                       drop rates in %% for --metric loss\n"
       "                                      (default 0,1,2,5,10)\n"
       "  --impl auto|ring|tree|reference     collective algorithm (default: sweep\n"
@@ -250,6 +251,7 @@ Args parse(int argc, char** argv) {
   };
   bool drop_set = false;
   bool drops_set = false;
+  bool fault_seed_set = false;
   for (int i = 1; i < argc; ++i) {
     const std::string opt = argv[i];
     if (opt == "--metric") {
@@ -313,6 +315,7 @@ Args parse(int argc, char** argv) {
       if (end == s || *end != '\0' || !(a.drop >= 0.0 && a.drop < 1.0)) usage(argv[0]);
       drop_set = true;
     } else if (opt == "--fault-seed") {
+      fault_seed_set = true;
       const char* s = need(i);
       char* end = nullptr;
       errno = 0;
@@ -346,6 +349,7 @@ Args parse(int argc, char** argv) {
   // ignored: only breakdown and profile write a trace, and only loss sweeps
   // --drops. --drop needs a metric that runs its points under loss: loss
   // sweeps its own rates, and match, train and failstop run loss-free.
+  // --fault-seed seeds that loss, so it needs --drop or the loss metric.
   if (!a.perfetto.empty() && a.metric != "breakdown" && a.metric != "profile") usage(argv[0]);
   if (drops_set && a.metric != "loss") usage(argv[0]);
   // Multi-path routing applies only between device buffers.
@@ -354,6 +358,7 @@ Args parse(int argc, char** argv) {
                    a.metric == "failstop")) {
     usage(argv[0]);
   }
+  if (fault_seed_set && !drop_set && a.metric != "loss") usage(argv[0]);
   return a;
 }
 
