@@ -47,7 +47,6 @@ struct System {
       r.setGauge("obs.spans_open_hwm", obs.spans.openHighWatermark());
       r.setGauge("obs.spans_retired", obs.spans.closed());
       r.setGauge("obs.events_dropped", obs.spans.droppedEvents());
-      r.setGauge("obs.windows", obs.spans.windows().size());
       for (std::size_t c = 0; c < kResClassCount; ++c) {
         const auto cls = static_cast<ResClass>(c);
         r.setGauge(std::string("util.") + name(cls) + "_busy_ns", util.classBusy(cls));

@@ -1,15 +1,15 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/time.hpp"
 
 /// \file phase.hpp
 /// The span vocabulary shared by the collector, the windowed aggregator and
 /// the sinks: the phase taxonomy, the per-event and per-span records, and the
-/// aux-word encoding helpers. Split out of span.hpp so window.hpp / sink.hpp
-/// can consume the record types without pulling in the collector (which in
-/// turn owns a WindowAggregator — the include cycle this file breaks).
+/// aux-word encoding helpers. Split out of span.hpp so sink.hpp / window.hpp
+/// can consume the record types without pulling in the collector.
 
 namespace cux::obs {
 
@@ -92,6 +92,13 @@ struct SpanInfo {
   const char* kind = "";         ///< static string: "charm", "ampi", ...
   Phase terminal = Phase::ApiSend;  ///< valid only when !open
   bool open = false;
+};
+
+/// One full span: its summary and its own event list (a window exemplar,
+/// or a RetainSink entry).
+struct SpanExemplar {
+  SpanInfo info;
+  std::vector<SpanEvent> events;
 };
 
 /// First-occurrence timestamp of each phase for one span; kNone = unseen.

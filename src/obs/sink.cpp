@@ -2,7 +2,28 @@
 
 #include <ostream>
 
+#include "obs/window.hpp"
+
 namespace cux::obs {
+
+namespace {
+
+void dumpHist(std::ostream& os, const char* label, const LatHist& h, bool* first) {
+  if (!*first) os << ",";
+  *first = false;
+  os << "\"" << label << "\":{\"count\":" << h.count << ",\"sum_ns\":" << h.sum
+     << ",\"buckets\":{";
+  bool bf = true;
+  for (std::size_t i = 0; i < LatHist::kBuckets; ++i) {
+    if (h.buckets[i] == 0) continue;
+    if (!bf) os << ",";
+    bf = false;
+    os << "\"" << i << "\":" << h.buckets[i];
+  }
+  os << "}}";
+}
+
+}  // namespace
 
 // --- JsonlSink --------------------------------------------------------------
 
@@ -33,12 +54,33 @@ void JsonlSink::onSpanRetired(std::uint64_t id, const SpanInfo& info,
   ++lines_;
 }
 
-void JsonlSink::onWindow(const WindowKey& key, const WindowStats& stats,
+void JsonlSink::onWindow(const WindowKey& key, const WindowStats& w,
                          const WindowConfig& cfg) {
   std::ostream& os = *os_;
-  os << "{\"type\":\"window\",";
-  WindowAggregator::dumpWindowFields(os, key, stats, cfg);
-  os << "}\n";
+  os << "{\"type\":\"window\",\"kind\":\"" << key.kind << "\",\"size_class\":" << key.size_class
+     << ",\"window\":" << key.window << ",\"window_ns\":" << cfg.window_ns
+     << ",\"spans\":" << w.spans << ",\"completed\":" << w.completed
+     << ",\"errored\":" << w.errored << ",\"cancelled\":" << w.cancelled
+     << ",\"retries\":" << w.retries << ",\"fallbacks\":" << w.fallbacks
+     << ",\"early_arrivals\":" << w.early_arrivals
+     << ",\"multipath_events\":" << w.multipath_events << ",\"bytes\":" << w.bytes
+     << ",\"hist\":{";
+  bool fh = true;
+  dumpHist(os, "total", w.total, &fh);
+  dumpHist(os, "meta", w.meta, &fh);
+  dumpHist(os, "post_delay", w.post_delay, &fh);
+  dumpHist(os, "early_wait", w.early_wait, &fh);
+  dumpHist(os, "data", w.data, &fh);
+  os << "},\"exemplars\":[";
+  bool fe = true;
+  for (const SpanExemplar& ex : w.exemplars) {
+    if (!fe) os << ",";
+    fe = false;
+    os << "{\"begin_ns\":" << ex.info.begin << ",\"end_ns\":" << ex.info.end
+       << ",\"src_pe\":" << ex.info.src_pe << ",\"dst_pe\":" << ex.info.dst_pe
+       << ",\"bytes\":" << ex.info.bytes << ",\"events\":" << ex.events.size() << "}";
+  }
+  os << "]}\n";
   ++lines_;
 }
 

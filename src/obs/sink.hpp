@@ -5,17 +5,23 @@
 #include <map>
 #include <vector>
 
-#include "obs/window.hpp"
+#include "obs/phase.hpp"
 
 /// \file sink.hpp
 /// Pluggable consumers of the span collector. The collector pushes each
 /// retired span (with its full event list, which is recycled immediately
-/// after the call) and, at flush time, each windowed aggregate. Sinks
-/// allocate only for their own output or retained storage and never touch
-/// the simulation — the stream is one-directional by construction, which is
-/// what keeps observability trace-invisible.
+/// after the call). Windowed aggregates are opt-in: an
+/// obs::WindowAggregator (window.hpp) is itself a sink, and at finish() it
+/// emits its windows to the sink downstream of it. Sinks allocate only for
+/// their own output or retained storage and never touch the simulation —
+/// the stream is one-directional by construction, which is what keeps
+/// observability trace-invisible.
 
 namespace cux::obs {
+
+struct WindowConfig;
+struct WindowKey;
+struct WindowStats;
 
 class Sink {
  public:
@@ -27,9 +33,9 @@ class Sink {
                              const SpanEvent* events, std::size_t n_events) = 0;
 
   /// One windowed aggregate, emitted in deterministic key order by
-  /// WindowAggregator::emit.
-  virtual void onWindow(const WindowKey& key, const WindowStats& stats,
-                        const WindowConfig& cfg) = 0;
+  /// WindowAggregator::finish. Ignored unless overridden.
+  virtual void onWindow(const WindowKey& /*key*/, const WindowStats& /*stats*/,
+                        const WindowConfig& /*cfg*/) {}
 
   /// End of stream: flush buffers, close framing. Idempotent.
   virtual void finish() {}
@@ -89,7 +95,6 @@ class RetainSink final : public Sink {
                      std::size_t n_events) override {
     retained_[id] = SpanExemplar{info, {events, events + n_events}};
   }
-  void onWindow(const WindowKey&, const WindowStats&, const WindowConfig&) override {}
 
   /// Retired spans in id order.
   [[nodiscard]] const std::map<std::uint64_t, SpanExemplar>& retained() const noexcept {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "obs/phase.hpp"
-#include "obs/window.hpp"
 #include "sim/time.hpp"
 
 /// \file span.hpp
@@ -26,11 +25,11 @@
 /// the span id in the model layer's own envelope instead.
 ///
 /// An enabled collector holds only *open* spans, in a recycled slot pool. A
-/// span reaching a terminal phase is *retired*: folded into the windowed
-/// aggregates (obs::WindowAggregator), pushed to the attached obs::Sink, and
-/// its slot recycled. Steady-state memory is O(open spans + windows),
-/// independent of message count. Whatever needs the whole run keeps it in a
-/// sink: obs::RetainSink for the Perfetto export and the tests,
+/// span reaching a terminal phase is *retired*: pushed to the attached
+/// obs::Sink and its slot recycled. The collector's steady-state memory is
+/// O(open spans), independent of message count. Whatever needs more keeps it
+/// in a sink and pays for it there: obs::WindowAggregator for windowed
+/// aggregates, obs::RetainSink for the Perfetto export and the tests,
 /// Breakdown::accumulateSpan and CritPath::addSpan for the reports.
 ///
 /// Disabled (the default) the collector is a single branch per hook: begin()
@@ -45,15 +44,13 @@ class Sink;
 
 /// Collector parameters.
 struct StreamConfig {
-  sim::Duration window_ns = 100'000;      ///< aggregation window width (100 us)
-  std::size_t exemplars_per_window = 2;   ///< full spans sampled per window
   std::size_t reserve_open_spans = 256;   ///< slot-pool pre-reservation
   std::size_t events_per_span = 8;        ///< per-slot event reservation hint
 };
 
 class SpanCollector {
  public:
-  /// Enables collection. `sink` may be null (aggregate-only); it is
+  /// Enables collection. `sink` may be null (counters only); it is
   /// borrowed, not owned, and must outlive every span end.
   void enableStreaming(const StreamConfig& cfg = {}, Sink* sink = nullptr);
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
@@ -72,10 +69,9 @@ class SpanCollector {
     record(span, t, p, pe, aux);
   }
 
-  /// Terminates a span: it folds into its window, flows to the sink, and its
-  /// slot is recycled. A second close of the same span is counted in
-  /// doubleCloses() instead of asserting, so the fault suite can detect the
-  /// bug rather than crash on it.
+  /// Terminates a span: it flows to the sink and its slot is recycled. A
+  /// second close of the same span is counted in doubleCloses() instead of
+  /// asserting, so the fault suite can detect the bug rather than crash on it.
   void end(std::uint64_t span, sim::TimePoint t, Phase p, int pe) {
     if (span == 0) return;
     retire(span, t, p, pe);
@@ -118,13 +114,6 @@ class SpanCollector {
     return terminal_counts_[static_cast<std::size_t>(p)];
   }
 
-  [[nodiscard]] const WindowAggregator& windows() const noexcept { return windows_; }
-  [[nodiscard]] WindowAggregator& windows() noexcept { return windows_; }
-
-  /// Emits every window to the attached sink (if any) and calls its
-  /// finish(). Call once, after the run.
-  void flushWindows();
-
  private:
   /// One live span; slots are recycled through free_slots_ with their event
   /// capacity kept, so the steady state allocates nothing.
@@ -161,7 +150,6 @@ class SpanCollector {
   std::vector<OpenSpan> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::unordered_map<std::uint64_t, std::uint32_t> open_index_;
-  WindowAggregator windows_;
 };
 
 }  // namespace cux::obs

@@ -2,9 +2,9 @@
 #include "obs/span.hpp"
 
 /// \file stream.cpp
-/// The enabled side of obs::SpanCollector: open-span slot pool, retirement
-/// into windowed aggregates, and the hand-off to the sink. Out of line so
-/// span.hpp only forward-declares obs::Sink.
+/// The enabled side of obs::SpanCollector: open-span slot pool, retirement,
+/// and the hand-off to the sink. Out of line so span.hpp only
+/// forward-declares obs::Sink.
 
 namespace cux::obs {
 
@@ -12,7 +12,6 @@ void SpanCollector::enableStreaming(const StreamConfig& cfg, Sink* sink) {
   enabled_ = true;
   cfg_ = cfg;
   sink_ = sink;
-  windows_.configure(WindowConfig{cfg.window_ns, cfg.exemplars_per_window});
   slots_.reserve(cfg.reserve_open_spans);
   free_slots_.reserve(cfg.reserve_open_spans);
   open_index_.reserve(cfg.reserve_open_spans);
@@ -71,7 +70,6 @@ void SpanCollector::retire(std::uint64_t span, sim::TimePoint t, Phase p, int pe
   ++terminal_counts_[static_cast<std::size_t>(p)];
   if (os.info.tag != 0) unbindTag(os.info.tag, span);
 
-  windows_.fold(os.info, os.events.data(), os.events.size());
   if (sink_ != nullptr) sink_->onSpanRetired(span, os.info, os.events.data(), os.events.size());
 
   os.events.clear();  // keeps capacity — the slot pool is allocation-free at steady state
@@ -89,13 +87,6 @@ void SpanCollector::bind(std::uint64_t span, std::uint64_t tag) {
 const SpanInfo* SpanCollector::span(std::uint64_t id) const noexcept {
   const auto it = open_index_.find(id);
   return it == open_index_.end() ? nullptr : &slots_[it->second].info;
-}
-
-void SpanCollector::flushWindows() {
-  if (sink_ != nullptr) {
-    windows_.emit(*sink_);
-    sink_->finish();
-  }
 }
 
 }  // namespace cux::obs

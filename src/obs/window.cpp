@@ -1,9 +1,6 @@
 #include "obs/window.hpp"
 
 #include <algorithm>
-#include <ostream>
-
-#include "obs/sink.hpp"
 
 namespace cux::obs {
 
@@ -23,8 +20,6 @@ bool exemplarLess(const SpanInfo& a, const SpanInfo& b) noexcept {
 
 void WindowAggregator::fold(const SpanInfo& info, const SpanEvent* events,
                             std::size_t n_events) {
-  if (cfg_.window_ns == 0) cfg_.window_ns = 1;
-
   const WindowKey key{info.kind,
                       static_cast<std::uint32_t>(std::bit_width(info.bytes)),
                       info.end / cfg_.window_ns};
@@ -95,68 +90,12 @@ void WindowAggregator::insertExemplar(WindowStats& w, const SpanInfo& info,
   if (w.exemplars.size() > cap) w.exemplars.pop_back();
 }
 
-void WindowAggregator::emit(Sink& sink) const {
-  for (const auto& [key, stats] : map_) sink.onWindow(key, stats, cfg_);
-}
-
-namespace {
-
-void dumpHist(std::ostream& os, const char* label, const LatHist& h, bool* first) {
-  if (!*first) os << ",";
-  *first = false;
-  os << "\"" << label << "\":{\"count\":" << h.count << ",\"sum_ns\":" << h.sum
-     << ",\"buckets\":{";
-  bool bf = true;
-  for (std::size_t i = 0; i < LatHist::kBuckets; ++i) {
-    if (h.buckets[i] == 0) continue;
-    if (!bf) os << ",";
-    bf = false;
-    os << "\"" << i << "\":" << h.buckets[i];
+void WindowAggregator::finish() {
+  if (downstream_ != nullptr) {
+    for (const auto& [key, stats] : map_) downstream_->onWindow(key, stats, cfg_);
+    downstream_->finish();
   }
-  os << "}}";
-}
-
-}  // namespace
-
-void WindowAggregator::dumpWindowFields(std::ostream& os, const WindowKey& key,
-                                        const WindowStats& w, const WindowConfig& cfg) {
-  os << "\"kind\":\"" << key.kind << "\",\"size_class\":" << key.size_class
-     << ",\"window\":" << key.window << ",\"window_ns\":" << cfg.window_ns
-     << ",\"spans\":" << w.spans << ",\"completed\":" << w.completed
-     << ",\"errored\":" << w.errored << ",\"cancelled\":" << w.cancelled
-     << ",\"retries\":" << w.retries << ",\"fallbacks\":" << w.fallbacks
-     << ",\"early_arrivals\":" << w.early_arrivals
-     << ",\"multipath_events\":" << w.multipath_events << ",\"bytes\":" << w.bytes
-     << ",\"hist\":{";
-  bool fh = true;
-  dumpHist(os, "total", w.total, &fh);
-  dumpHist(os, "meta", w.meta, &fh);
-  dumpHist(os, "post_delay", w.post_delay, &fh);
-  dumpHist(os, "early_wait", w.early_wait, &fh);
-  dumpHist(os, "data", w.data, &fh);
-  os << "},\"exemplars\":[";
-  bool fe = true;
-  for (const SpanExemplar& ex : w.exemplars) {
-    if (!fe) os << ",";
-    fe = false;
-    os << "{\"begin_ns\":" << ex.info.begin << ",\"end_ns\":" << ex.info.end
-       << ",\"src_pe\":" << ex.info.src_pe << ",\"dst_pe\":" << ex.info.dst_pe
-       << ",\"bytes\":" << ex.info.bytes << ",\"events\":" << ex.events.size() << "}";
-  }
-  os << "]";
-}
-
-void WindowAggregator::dumpJson(std::ostream& os) const {
-  os << "[";
-  bool first_win = true;
-  for (const auto& [key, w] : map_) {
-    if (!first_win) os << ",";
-    first_win = false;
-    os << "{";
-    dumpWindowFields(os, key, w, cfg_);
-    os << "}";
-  }
-  os << "]";
+  map_.clear();
 }
 
 }  // namespace cux::obs

@@ -4,24 +4,22 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <map>
 #include <vector>
 
 #include "obs/phase.hpp"
+#include "obs/sink.hpp"
 #include "sim/time.hpp"
 
 /// \file window.hpp
-/// Windowed span aggregation: the bounded-memory representation a retired
-/// span folds into. Windows are keyed by (kind, log2 size-class,
-/// simulated-time window index) and hold per-phase log2 latency histograms,
-/// terminal/retry/fallback counts, and a deterministic exemplar sample of
-/// full spans. Steady-state memory is O(windows), independent of message
-/// count.
+/// Windowed span aggregation, as an opt-in obs::Sink: attached to a
+/// collector, it folds each retired span into a window keyed by (kind, log2
+/// size-class, simulated-time window index). A window holds per-phase log2
+/// latency histograms, terminal/retry/fallback counts, and a deterministic
+/// exemplar sample of full spans. Memory is O(windows), independent of
+/// message count; a collector without an aggregator builds no windows.
 
 namespace cux::obs {
-
-class Sink;
 
 struct WindowConfig {
   /// Simulated-time width of one aggregation window. 100 us spans a few
@@ -63,13 +61,6 @@ struct WindowKeyLess {
   }
 };
 
-/// One full span: its summary and its own event list (a window exemplar,
-/// or a RetainSink entry).
-struct SpanExemplar {
-  SpanInfo info;
-  std::vector<SpanEvent> events;
-};
-
 struct WindowStats {
   std::uint64_t spans = 0;
   std::uint64_t completed = 0;
@@ -90,42 +81,42 @@ struct WindowStats {
   std::vector<SpanExemplar> exemplars;
 };
 
-class WindowAggregator {
+class WindowAggregator final : public Sink {
  public:
   using Map = std::map<WindowKey, WindowStats, WindowKeyLess>;
 
-  void configure(const WindowConfig& cfg) noexcept {
-    cfg_ = cfg;
+  /// `downstream` receives the windows at finish(); it may be null (the
+  /// windows are then only read through windows()/size()). Borrowed, not
+  /// owned.
+  explicit WindowAggregator(const WindowConfig& cfg = {}, Sink* downstream = nullptr) noexcept
+      : cfg_(cfg), downstream_(downstream) {
     if (cfg_.window_ns == 0) cfg_.window_ns = 1;
   }
-  [[nodiscard]] const WindowConfig& config() const noexcept { return cfg_; }
 
   /// Folds one retired span (summary + its own event list) into the window
   /// it terminated in. Allocation happens only on a new window or a new
   /// exemplar, both bounded.
   void fold(const SpanInfo& info, const SpanEvent* events, std::size_t n_events);
 
+  void onSpanRetired(std::uint64_t, const SpanInfo& info, const SpanEvent* events,
+                     std::size_t n_events) override {
+    fold(info, events, n_events);
+  }
+
+  /// Emits every window to the downstream sink in deterministic key order,
+  /// finishes it, and forgets the windows, so the aggregator starts the next
+  /// run empty (and a second finish() emits nothing).
+  void finish() override;
+
   [[nodiscard]] const Map& windows() const noexcept { return map_; }
   [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return map_.empty(); }
-
-  /// Emits every window through `sink` in deterministic key order.
-  void emit(Sink& sink) const;
-
-  /// Deterministic JSON dump (no exemplar events, just identifying fields),
-  /// for byte comparison in tests.
-  void dumpJson(std::ostream& os) const;
-
-  /// Writes the JSON fields (no surrounding braces) of one window; shared by
-  /// dumpJson and the JSONL sink so both encode identically.
-  static void dumpWindowFields(std::ostream& os, const WindowKey& key,
-                               const WindowStats& stats, const WindowConfig& cfg);
 
  private:
   void insertExemplar(WindowStats& w, const SpanInfo& info, const SpanEvent* events,
                       std::size_t n_events);
 
-  WindowConfig cfg_{};
+  WindowConfig cfg_;
+  Sink* downstream_;
   Map map_;
 };
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,11 @@ struct Budget {
   osu::Mode mode;
   double max_per_msg;
 };
+
+// gtest would otherwise print the raw bytes of `label`'s address, which
+// address-space randomisation changes from run to run, and the registered
+// test names with it.
+void PrintTo(const Budget& b, std::ostream* os) { *os << b.label << " <= " << b.max_per_msg; }
 
 std::uint64_t allocsForRun(osu::BenchConfig cfg, int iters) {
   cfg.iters = iters;

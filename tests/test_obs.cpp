@@ -17,6 +17,7 @@
 #include "obs/report.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
+#include "obs/window.hpp"
 #include "ucx/context.hpp"
 
 // --------------------------------------------------------------------------
@@ -168,7 +169,6 @@ TEST(Spans, DisabledCollectorIsInert) {
   EXPECT_EQ(sc.begun(), 0u);
   EXPECT_EQ(sc.closed(), 0u);
   EXPECT_EQ(sc.droppedEvents(), 0u);
-  EXPECT_TRUE(sc.windows().empty());
 }
 
 TEST(Spans, LifecycleAccounting) {
@@ -257,8 +257,12 @@ TEST(PackedAux, RouteBytesRoundTripAndMask) {
 
 TEST(Spans, StreamingRetiresIntoWindowsAndSink) {
   obs::NullSink sink;
+  obs::WindowAggregator windows({}, &sink);
+  obs::FanoutSink fan;
+  fan.add(&sink);
+  fan.add(&windows);
   obs::SpanCollector sc;
-  sc.enableStreaming({}, &sink);
+  sc.enableStreaming({}, &fan);
   EXPECT_TRUE(sc.enabled());
 
   const auto s1 = sc.begin(1000, 0, 1, 4096, "charm");
@@ -275,8 +279,8 @@ TEST(Spans, StreamingRetiresIntoWindowsAndSink) {
   EXPECT_EQ(sink.spans(), 2u);
   EXPECT_EQ(sc.span(s1), nullptr) << "the collector must not retain retired spans";
   // Both spans end inside the same 100 us window of the same kind/size class.
-  ASSERT_EQ(sc.windows().size(), 1u);
-  const auto& [key, stats] = *sc.windows().windows().begin();
+  ASSERT_EQ(windows.size(), 1u);
+  const auto& [key, stats] = *windows.windows().begin();
   EXPECT_STREQ(key.kind, "charm");
   EXPECT_EQ(key.size_class, 13u);  // bit_width(4096)
   EXPECT_EQ(stats.spans, 2u);
@@ -284,7 +288,7 @@ TEST(Spans, StreamingRetiresIntoWindowsAndSink) {
   EXPECT_EQ(stats.bytes, 8192u);
   EXPECT_EQ(stats.total.count, 2u);
 
-  sc.flushWindows();
+  windows.finish();
   EXPECT_EQ(sink.windows(), 1u);
 }
 
@@ -303,8 +307,7 @@ TEST(Spans, StreamingTagBindingWorksWhileOpen) {
 }
 
 TEST(Windows, ExemplarsKeepTheSmallestSpans) {
-  obs::WindowAggregator agg;
-  agg.configure({100'000, /*exemplars_per_window=*/2});
+  obs::WindowAggregator agg({100'000, /*exemplars_per_window=*/2});
   for (const sim::TimePoint begin : {3000u, 1000u, 2000u, 4000u}) {
     obs::SpanInfo info;
     info.begin = begin;
@@ -325,14 +328,18 @@ TEST(Windows, ExemplarsKeepTheSmallestSpans) {
 TEST(Sinks, JsonlSinkDecodesRoutedAuxAndTypesEveryLine) {
   std::ostringstream os;
   obs::JsonlSink sink(os);
+  obs::WindowAggregator windows({}, &sink);
+  obs::FanoutSink fan;
+  fan.add(&sink);
+  fan.add(&windows);
   obs::SpanCollector sc;
-  sc.enableStreaming({}, &sink);
+  sc.enableStreaming({}, &fan);
 
   const auto s = sc.begin(1000, 0, 6, 1 << 20, "charm");
   sc.phase(s, 1500, obs::Phase::MultiPath, 0, obs::packRouteBytes(3, 4096));
   sc.phase(s, 1600, obs::Phase::RailChunk, 0, obs::packRouteBytes(1, 65536));
   sc.end(s, 2000, obs::Phase::Completed, 6);
-  sc.flushWindows();
+  windows.finish();
   sink.utilLine("nvlink", 0, 100'000, 40'000, 600'000);
 
   const std::string j = os.str();

@@ -8,6 +8,7 @@
 
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
+#include "obs/window.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
@@ -145,9 +146,9 @@ TEST(StreamObs, TenXStormStaysBounded) {
   EXPECT_LE(run.open_hwm, 1u) << "each span closes in the callback that opened it";
   EXPECT_EQ(run.dropped, 0u);
 
-  // The acceptance bound: collector memory is O(open spans +
-  // windows), not O(deliveries). 1 MiB is ~25 B/span of headroom; the real
-  // footprint (slot pool + a handful of windows) is far below it.
+  // The acceptance bound: collector memory is O(open spans), not
+  // O(deliveries). 1 MiB is ~25 B/span of headroom; the real footprint (the
+  // slot pool) is far below it.
   EXPECT_LT(run.live_growth, std::int64_t{1} << 20)
       << "collector retained per-message memory";
   EXPECT_LT(run.peak_growth, std::int64_t{2} << 20)
@@ -162,10 +163,14 @@ TEST(StreamObs, TenXStormStaysBounded) {
 
 TEST(StreamObs, SteadyStateRetirementHoldsLiveMemoryFlat) {
   obs::NullSink sink;
+  obs::WindowConfig wcfg;
+  wcfg.window_ns = sim::Duration{1} << 30;  // everything lands in window 0
+  obs::WindowAggregator windows(wcfg, &sink);
+  obs::FanoutSink fan;
+  fan.add(&sink);
+  fan.add(&windows);
   obs::SpanCollector sc;
-  obs::StreamConfig cfg;
-  cfg.window_ns = sim::Duration{1} << 30;  // everything lands in window 0
-  sc.enableStreaming(cfg, &sink);
+  sc.enableStreaming({}, &fan);
 
   auto spanAt = [&sc](sim::TimePoint t) {
     const std::uint64_t id = sc.begin(t, 0, 1, 4096, "steady");
@@ -183,10 +188,34 @@ TEST(StreamObs, SteadyStateRetirementHoldsLiveMemoryFlat) {
   EXPECT_EQ(sink.spans(), 64u + 10000u);
   EXPECT_EQ(sc.openCount(), 0u);
   EXPECT_EQ(sc.openHighWatermark(), 1u);
-  ASSERT_EQ(sc.windows().size(), 1u) << "one kind x one size class x one window";
+  ASSERT_EQ(windows.size(), 1u) << "one kind x one size class x one window";
 
-  sc.flushWindows();
+  windows.finish();
   EXPECT_EQ(sink.windows(), 1u);
+}
+
+// --------------------------------------------------------------------------
+// Windows are opt-in: a collector whose sink does not aggregate builds none,
+// however many windows its spans span.
+// --------------------------------------------------------------------------
+
+TEST(StreamObs, CollectorWithoutAggregatorBuildsNoWindows) {
+  constexpr sim::TimePoint kWindowNs = 100'000;  // the default window width
+  constexpr std::uint64_t kWindows = 10'000;
+  obs::NullSink sink;
+  obs::SpanCollector sc;
+  const std::int64_t before = static_cast<std::int64_t>(g_live);
+  sc.enableStreaming({}, &sink);
+  for (std::uint64_t w = 0; w < kWindows; ++w) {
+    const sim::TimePoint t = w * kWindowNs;
+    const std::uint64_t id = sc.begin(t, 0, 1, 4096, "windowed");
+    sc.end(id, t + 1, obs::Phase::Completed, 1);  // one span ends in each window
+  }
+  const std::int64_t growth = static_cast<std::int64_t>(g_live) - before;
+
+  EXPECT_EQ(sc.closed(), kWindows);
+  EXPECT_EQ(sink.spans(), kWindows);
+  EXPECT_LT(growth, std::int64_t{1} << 20) << "the collector kept per-window state";
 }
 
 // --------------------------------------------------------------------------

@@ -44,6 +44,7 @@
 #include "obs/perfetto.hpp"
 #include "obs/report.hpp"
 #include "obs/sink.hpp"
+#include "obs/window.hpp"
 #include "sim/fault.hpp"
 
 using namespace cux;
@@ -80,13 +81,16 @@ struct Args {
 // --stream-obs: one shared JSONL stream across every data point of a metric
 // --------------------------------------------------------------------------
 
-/// Owns the --stream-obs output file and its JsonlSink. Every metric that
-/// constructs a simulated machine calls apply() from the fixture's setup hook
-/// (enabling span collection, so spans flow out as they retire) and flush()
-/// after the run (windowed aggregates + utilization timeline lines).
+/// Owns the --stream-obs output file, its JsonlSink and the window
+/// aggregator that feeds it. Every metric that constructs a simulated machine
+/// calls apply() from the fixture's setup hook (enabling span collection, so
+/// spans flow out as they retire and fold into windows) and flush() after the
+/// run (windowed aggregates + utilization timeline lines).
 struct StreamObs {
   std::ofstream file;
   std::unique_ptr<obs::JsonlSink> jsonl;
+  std::unique_ptr<obs::WindowAggregator> windows;  ///< emits into jsonl at flush()
+  obs::FanoutSink spans_and_windows;
 
   [[nodiscard]] bool active() const noexcept { return jsonl != nullptr; }
 
@@ -98,11 +102,18 @@ struct StreamObs {
       return false;
     }
     jsonl = std::make_unique<obs::JsonlSink>(file);
+    windows = std::make_unique<obs::WindowAggregator>(obs::WindowConfig{}, jsonl.get());
+    spans_and_windows.add(jsonl.get());
+    spans_and_windows.add(windows.get());
     return true;
   }
 
+  /// The sink a data point's collector streams into, or null without
+  /// --stream-obs.
+  [[nodiscard]] obs::Sink* sink() noexcept { return jsonl ? &spans_and_windows : nullptr; }
+
   void apply(hw::System& sys) {
-    if (jsonl) sys.obs.spans.enableStreaming({}, jsonl.get());
+    if (jsonl) sys.obs.spans.enableStreaming({}, &spans_and_windows);
   }
 
   void emitUtil(hw::System& sys) {
@@ -117,7 +128,7 @@ struct StreamObs {
 
   void flush(hw::System& sys) {
     if (!jsonl) return;
-    sys.obs.spans.flushWindows();
+    windows->finish();
     emitUtil(sys);
   }
 };
@@ -567,8 +578,8 @@ std::vector<std::size_t> sizesOr(const Args& a, std::initializer_list<std::size_
 
 /// A training job on enough nodes for one PE per rank; --mode host stages
 /// gradients through host memory. Span lines stream at retirement;
-/// training attempts have no post-run hook, so their window aggregates are
-/// not emitted.
+/// training attempts have no post-run hook to emit windows from, so they
+/// build none.
 train::TrainConfig trainConfig(const Args& a) {
   train::TrainConfig cfg;
   cfg.ranks = a.ranks;
@@ -577,7 +588,9 @@ train::TrainConfig trainConfig(const Args& a) {
   cfg.model = machine(a, cfg.nodes);
   if (a.impl_set) cfg.coll.impl = a.impl;
   cfg.host_staged = a.mode == osu::Mode::HostStaging;
-  if (g_stream.active()) cfg.setup = [](hw::System& sys) { g_stream.apply(sys); };
+  if (g_stream.active()) {
+    cfg.setup = [](hw::System& sys) { sys.obs.spans.enableStreaming({}, g_stream.jsonl.get()); };
+  }
   return cfg;
 }
 
@@ -809,8 +822,6 @@ struct BreakdownSink final : obs::Sink {
                      std::size_t n) override {
     b->accumulateSpan(info, events, n);
   }
-  void onWindow(const obs::WindowKey&, const obs::WindowStats&,
-                const obs::WindowConfig&) override {}
 };
 
 /// Runs the OSU latency point per stack and size with span collection on and
@@ -840,7 +851,7 @@ int runBreakdown(const Args& a) {
       bsink.b = &row.b;
       obs::FanoutSink fan;
       fan.add(&bsink);
-      fan.add(g_stream.jsonl.get());  // null without --stream-obs
+      fan.add(g_stream.sink());  // null without --stream-obs
       if (!a.perfetto.empty() && rows.size() + 1 == n_points) fan.add(&last_spans);
       cfg.setup = [&fan](hw::System& sys) { sys.obs.spans.enableStreaming({}, &fan); };
       cfg.inspect = [](hw::System& sys) { g_stream.flush(sys); };
@@ -1217,8 +1228,6 @@ struct CritSink final : obs::Sink {
                      std::size_t n) override {
     crit->addSpan(info, events, n);
   }
-  void onWindow(const obs::WindowKey&, const obs::WindowStats&,
-                const obs::WindowConfig&) override {}
 };
 
 /// One Perfetto counter track per resource class: per-window utilization
@@ -1275,9 +1284,12 @@ int runProfile(const Args& a) {
       obs::CritPath crit(ccfg);
       CritSink csink;
       csink.crit = &crit;
+      // Windows are counted on every run and streamed with --stream-obs.
+      obs::WindowAggregator windows({}, g_stream.jsonl.get());
       obs::FanoutSink fan;
       fan.add(&csink);
       fan.add(g_stream.jsonl.get());  // null without --stream-obs
+      fan.add(&windows);
 
       Point p;
       p.stack = stackKey(stack);
@@ -1289,12 +1301,12 @@ int runProfile(const Args& a) {
       };
       cfg.inspect = [&](hw::System& sys) {
         marks = sys.obs.iterationMarks();
-        sys.obs.spans.flushWindows();
+        p.windows = windows.size();
+        windows.finish();
         p.spans = sys.obs.spans.begun();
         p.retired = sys.obs.spans.closed();
         p.open_hwm = sys.obs.spans.openHighWatermark();
         p.dropped = sys.obs.spans.droppedEvents();
-        p.windows = sys.obs.spans.windows().size();
         for (std::size_t c = 0; c < hw::kResClassCount; ++c) {
           p.busy[c] = sys.util.classBusy(static_cast<hw::ResClass>(c));
           p.nres[c] = sys.util.classResources(static_cast<hw::ResClass>(c));
