@@ -56,18 +56,16 @@ struct World::RankChare : ck::Chare {
   }
 
   void recvInline(std::uint32_t src_rank, std::int32_t tag, std::int32_t comm,
-                  std::uint32_t seq, std::vector<std::byte> data, std::uint8_t data_valid,
-                  std::uint64_t span) {
+                  std::uint32_t seq, ck::HostBytes data, std::uint64_t span) {
     Envelope env;
     env.src_rank = static_cast<int>(src_rank);
     env.tag = tag;
     env.comm = comm;
-    env.bytes = data.size();
+    env.bytes = data.size;
     env.seq = seq;
     env.span = span;
     env.inlined = true;
-    env.data = std::move(data);
-    env.data_valid = data_valid != 0;
+    env.data = world->runtime().keepBytes(data);  // may wait unexpected or out of order
     world->enqueueEnvelope(rank, std::move(env));
   }
 
@@ -473,12 +471,8 @@ Request World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int
                                                 static_cast<std::int32_t>(comm), bytes, cdb.tag,
                                                 seq);
   } else {
-    // Eager path: payload packed into the AMPI message. The buffer comes
-    // from (and returns to) the UCX context's eager pool, so the steady
-    // state allocates nothing per message.
-    std::vector<std::byte> data = rt_.cmi().ucx().takeBuffer(bytes);
-    const bool valid = rt_.system().memory.dereferenceable(buf);
-    if (valid && bytes > 0) std::memcpy(data.data(), buf, bytes);
+    // Eager path: payload packed straight from `buf` into the AMPI message,
+    // or as an unbacked run when `buf` holds no bytes.
     // Inline messages bypass the machine layer, so the span is minted here
     // and rides in the message itself (0 when observability is off).
     std::uint64_t span = 0;
@@ -491,8 +485,7 @@ Request World::isendImpl(int src_rank, const void* buf, std::uint64_t bytes, int
     dst_st.chare.sendFrom<&RankChare::recvInline>(st.pe, static_cast<std::uint32_t>(src_rank),
                                                   static_cast<std::int32_t>(tag),
                                                   static_cast<std::int32_t>(comm), seq,
-                                                  std::move(data),
-                                                  static_cast<std::uint8_t>(valid ? 1 : 0), span);
+                                                  rt_.hostBytes(buf, bytes), span);
     // Buffered semantics: the send completes once the local copy retires.
     auto impl = req.impl_;
     pe.exec(0, [impl, sent_status] { impl->complete(sent_status); });
@@ -636,11 +629,11 @@ void World::deliver(int dst_rank, PostedRecv& p, Envelope& env) {
   auto impl = p.impl;
 
   if (env.inlined) {
-    if (env.data_valid && !env.data.empty() && rt_.system().memory.dereferenceable(p.buf)) {
+    if (!env.data.empty() && rt_.system().memory.dereferenceable(p.buf)) {
       std::memcpy(p.buf, env.data.data(), env.data.size());
     }
     // The inline payload is consumed: recycle its storage into the shared
-    // eager pool (it was taken from there in isendImpl).
+    // eager pool (it was taken from there in recvInline).
     rt_.cmi().ucx().recycleBuffer(std::move(env.data));
     const double copy_us =
         (static_cast<double>(env.bytes) / 1e3) / rt_.system().config.host_memcpy_gbps;

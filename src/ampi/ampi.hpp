@@ -405,8 +405,9 @@ class World {
     std::uint64_t span = 0;
     std::uint32_t seq = 0;
     bool inlined = false;
-    std::vector<std::byte> data;  ///< payload for inlined envelopes
-    bool data_valid = true;
+    /// Payload of an inlined envelope, from the UCX eager pool; empty when
+    /// the source was unbacked (`bytes` still counts it).
+    std::vector<std::byte> data;
   };
   struct PostedRecv {
     /// Completion state of the user's Request handle. Held directly (not as

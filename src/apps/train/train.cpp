@@ -161,7 +161,9 @@ struct RankCtx {
   int pe = -1;
   ModelState state;                         ///< persistent across steps; checkpointed
   std::vector<void*> grads;                 ///< per-bucket pool allocation (per step)
-  std::vector<std::vector<double>> host;    ///< per-bucket host staging
+  /// Per-bucket host staging. Allocated for overwrite when device memory is
+  /// backed: the D2H copy writes every element before anything reads it.
+  std::vector<std::unique_ptr<double[]>> host;
   std::unique_ptr<cuda::Stream> compute;
   std::unique_ptr<cuda::Stream> comm;       ///< staging copies (host_staged mode)
 };
@@ -190,11 +192,11 @@ sim::FutureTask bucketTask(RankT r, Shared* sh, RankCtx* me, int step, int b,
   const int tag = coll::collTag(step * static_cast<int>(sh->buckets.size()) + b);
 
   if (sh->cfg.host_staged) {
-    auto& h = me->host[static_cast<std::size_t>(b)];
-    me->comm->memcpyAsync(h.data(), g, bd.count * 8, cuda::MemcpyKind::DeviceToHost);
+    double* h = me->host[static_cast<std::size_t>(b)].get();
+    me->comm->memcpyAsync(h, g, bd.count * 8, cuda::MemcpyKind::DeviceToHost);
     co_await me->comm->synchronize();
-    co_await coll::allreduce(r, h.data(), h.data(), bd.count, coll::Op::Sum, tag, sh->cfg.coll);
-    me->comm->memcpyAsync(g, h.data(), bd.count * 8, cuda::MemcpyKind::HostToDevice);
+    co_await coll::allreduce(r, h, h, bd.count, coll::Op::Sum, tag, sh->cfg.coll);
+    me->comm->memcpyAsync(g, h, bd.count * 8, cuda::MemcpyKind::HostToDevice);
     co_await me->comm->synchronize();
   } else {
     co_await coll::allreduce(r, g, g, bd.count, coll::Op::Sum, tag, sh->cfg.coll);
@@ -439,7 +441,10 @@ AttemptOutcome runAttempt(const TrainConfig& cfg, Stack stack, int start_step, b
     }
     if (cfg.host_staged) {
       for (int b = 0; b < nb; ++b) {
-        c->host.emplace_back(sh.buckets[static_cast<std::size_t>(b)].count, 0.0);
+        const std::size_t n = sh.buckets[static_cast<std::size_t>(b)].count;
+        c->host.push_back(sys.config.backed_device_memory
+                              ? std::make_unique_for_overwrite<double[]>(n)
+                              : std::make_unique<double[]>(n));
       }
     }
     rank_ctx.push_back(std::move(c));

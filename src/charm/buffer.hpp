@@ -19,6 +19,8 @@ namespace cux::ck {
 
 class Buffer {
  public:
+  /// The first byte of a buffer's wire header. A packed buffer is a
+  /// HostBytes run, so its header byte is the run's kind byte (never Rndv).
   enum class Mode : std::uint8_t {
     Rndv,    ///< transferred separately under a machine-layer tag
     Packed,  ///< small host payload packed into the metadata message

@@ -1,5 +1,7 @@
 #include "charm/charm.hpp"
 
+#include <cstring>
+
 namespace cux::ck {
 
 namespace detail {
@@ -29,6 +31,13 @@ Runtime::Runtime(hw::System& sys, ucx::Context& ucx, const model::Model& model,
   handler_ = cmi_->registerHandler([this](cmi::Message msg) { dispatch(std::move(msg)); });
 }
 
+std::vector<std::byte> Runtime::keepBytes(const HostBytes& run) {
+  if (run.data == nullptr || run.size == 0) return {};
+  std::vector<std::byte> kept = cmi_->ucx().takeBuffer(run.size);
+  std::memcpy(kept.data(), run.data, run.size);
+  return kept;
+}
+
 void Runtime::dispatch(cmi::Message msg) {
   const int pe = cmi_->currentPe();
   assert(pe >= 0);
@@ -43,8 +52,10 @@ void Runtime::dispatch(cmi::Message msg) {
   detail::entryTable()[entry_id].invoke(*this, pe, obj, msg, off);
 }
 
-void Runtime::packBuffer(Packer& p, Buffer& b, int src_pe, int dst_pe,
-                         std::uint64_t& inline_bulk) {
+static_assert(static_cast<std::uint8_t>(Buffer::Mode::Rndv) == 0,
+              "a packed buffer's run kind byte must not read as a rendezvous header");
+
+void Runtime::packBuffer(Packer& p, Buffer& b, int src_pe, int dst_pe) {
   if (rendezvous(b)) {
     p.pack(static_cast<std::uint8_t>(Buffer::Mode::Rndv));
     p.pack(b.size());
@@ -52,14 +63,7 @@ void Runtime::packBuffer(Packer& p, Buffer& b, int src_pe, int dst_pe,
     dev_->lrtsSendDevice(src_pe, dst_pe, cdb, b.takeSentCallback(), core::DeviceRecvType::Charm);
     p.pack(cdb.tag);
   } else {
-    p.pack(static_cast<std::uint8_t>(Buffer::Mode::Packed));
-    p.pack(b.size());
-    if (sys_.memory.dereferenceable(b.source()) && b.size() > 0) {
-      p.raw(b.source(), b.size());
-    } else {
-      p.zeros(b.size());
-    }
-    inline_bulk += b.size();
+    p.pack(hostBytes(b.source(), b.size()));
     // Packed sends complete locally once the copy is made.
     if (core::DoneFn sent = b.takeSentCallback()) {
       cmi_->pe(src_pe).exec(sim::usec(costs().callback_us), std::move(sent));

@@ -185,6 +185,17 @@ class Runtime {
     sendFrom<M>(src_pe, dst, std::forward<Args>(args)...);
   }
 
+  /// The inline form of `n` host bytes at `src`: an unbacked run when the
+  /// simulation holds no bytes there (AMPI's and Charm4py's inline payloads
+  /// and packed ck::Buffers all use it).
+  [[nodiscard]] HostBytes hostBytes(const void* src, std::uint64_t n) const {
+    return HostBytes{sys_.memory.dereferenceable(src) ? src : nullptr, n};
+  }
+  /// A received run's bytes, kept past its message in a buffer from the UCX
+  /// eager pool (hand it back with ucx::Context::recycleBuffer once
+  /// consumed); empty for an unbacked or empty run.
+  [[nodiscard]] std::vector<std::byte> keepBytes(const HostBytes& run);
+
   /// Entry-method send with an explicit source PE; used by layers (AMPI,
   /// Charm4py) that know their PE even when running outside a scheduler
   /// continuation (e.g. a coroutine resumed from a timer).
@@ -204,14 +215,16 @@ class Runtime {
   [[nodiscard]] bool rendezvous(const Buffer& b) const {
     return sys_.memory.isDevice(b.source()) || b.size() >= costs().host_pack_threshold;
   }
-  /// Bytes packBuffer() appends for `b`: mode, size, then the tag or the data.
+  /// Bytes packBuffer() appends for `b`: the Rndv mode byte, size and tag,
+  /// or the data as a HostBytes run.
   [[nodiscard]] std::size_t packedBufferBytes(const Buffer& b) const {
-    return 1 + sizeof(std::uint64_t) + (rendezvous(b) ? sizeof(std::uint64_t) : b.size());
+    return rendezvous(b) ? 1 + 2 * sizeof(std::uint64_t)
+                         : packedSize(hostBytes(b.source(), b.size()));
   }
   /// Packs one Buffer argument: rendezvous (device or large host) buffers go
-  /// through LrtsSendDevice; small host buffers are packed inline. Takes the
-  /// buffer's sent callback.
-  void packBuffer(Packer& p, Buffer& b, int src_pe, int dst_pe, std::uint64_t& inline_bulk);
+  /// through LrtsSendDevice; small host buffers are packed inline as a
+  /// HostBytes run. Takes the buffer's sent callback.
+  void packBuffer(Packer& p, Buffer& b, int src_pe, int dst_pe);
 
   hw::System& sys_;
   std::unique_ptr<cmi::Converse> cmi_;
@@ -295,12 +308,11 @@ void Runtime::sendFrom(int src_pe, ChareId dst, Args&&... args) {
   constexpr std::uint32_t nbuf = detail::bufferCount<Tuple>();
   p.pack(nbuf);
 
-  std::uint64_t inline_bulk = 0;
   // Pass 1: buffers, in declaration order.
   (
       [&] {
         if constexpr (detail::is_buffer_v<Args>) {
-          packBuffer(p, args, src_pe, dst.pe, inline_bulk);
+          packBuffer(p, args, src_pe, dst.pe);
         }
       }(),
       ...);
@@ -313,11 +325,13 @@ void Runtime::sendFrom(int src_pe, ChareId dst, Args&&... args) {
       }(),
       ...);
 
-  // Message allocation plus runtime-side copies of packed payload.
+  // Message allocation plus runtime-side copies of packed payload, unbacked
+  // runs included: the model charges the copy the simulator skips.
   const double copy_us =
-      (static_cast<double>(inline_bulk + p.bulkBytes()) / 1e3) / sys_.config.host_memcpy_gbps;
+      (static_cast<double>(p.bulkBytes()) / 1e3) / sys_.config.host_memcpy_gbps;
   cmi_->pe(src_pe).charge(sim::usec(costs().charm_msg_alloc_us + copy_us));
-  cmi_->send(src_pe, dst.pe, handler_, p.take());
+  const std::uint64_t unbacked = p.unbackedBytes();
+  cmi_->send(src_pe, dst.pe, handler_, p.take(), unbacked);
 }
 
 namespace detail {
@@ -381,12 +395,13 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message& msg, std::size_t 
   const std::span<Buffer> bufs = list.span();
   std::uint32_t rndv = 0;
   for (Buffer& b : bufs) {
-    const auto mode = static_cast<Buffer::Mode>(u.unpack<std::uint8_t>());
-    const auto size = u.unpack<std::uint64_t>();
-    b.internalSetMode(mode);
-    b.internalSetSize(size);
-    if (mode == Buffer::Mode::Rndv) {
+    // The header byte is Rndv, or the kind byte of a packed HostBytes run.
+    const bool is_rndv = static_cast<Buffer::Mode>(*u.cursor()) == Buffer::Mode::Rndv;
+    b.internalSetMode(is_rndv ? Buffer::Mode::Rndv : Buffer::Mode::Packed);
+    if (is_rndv) {
       ++rndv;
+      u.skip(1);
+      b.internalSetSize(u.unpack<std::uint64_t>());
       b.internalSetTag(u.unpack<std::uint64_t>());
       // Metadata carrying this device tag has reached the receiving PE; the
       // gap to the lrtsRecvDevice below is the paper's recv-post delay.
@@ -394,7 +409,7 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message& msg, std::size_t 
       spans.phase(spans.spanForTag(b.tag()), rt.system().engine.now(),
                   obs::Phase::MetaArrived, pe, b.size());
     } else {
-      u.skip(size);
+      b.internalSetSize(u.unpack<HostBytes>().size);
     }
   }
   const std::size_t args_off = u.offset();
@@ -407,21 +422,21 @@ void entryThunk(Runtime& rt, int pe, Chare* obj, cmi::Message& msg, std::size_t 
 
   // Small host payloads packed into the metadata message: copy into the
   // user-provided destinations now (the receive-side runtime memcpy the
-  // paper attributes host-staging slowdowns to).
+  // paper attributes host-staging slowdowns to). An unbacked run copies
+  // nothing, so a backed destination keeps its bytes, but is charged alike.
   // A second walk over the buffer headers finds each packed payload.
   std::uint64_t packed_bytes = 0;
   Unpacker hdr(msg.payload(), off + sizeof(std::uint32_t));
   for (Buffer& b : bufs) {
-    hdr.skip(1 + sizeof(std::uint64_t));  // mode, size
     if (b.mode() == Buffer::Mode::Rndv) {
-      hdr.skip(sizeof(std::uint64_t));  // tag
+      hdr.skip(1 + 2 * sizeof(std::uint64_t));  // mode, size, tag
       continue;
     }
     assert(b.data() != nullptr && b.capacity() >= b.size() && "post entry must set destinations");
-    if (msg.payload_valid && rt.system().memory.dereferenceable(b.data()) && b.size() > 0) {
-      std::memcpy(b.data(), msg.payload().data() + hdr.offset(), b.size());
+    const HostBytes src = hdr.unpack<HostBytes>();
+    if (src.data != nullptr && rt.system().memory.dereferenceable(b.data()) && b.size() > 0) {
+      std::memcpy(b.data(), src.data, b.size());
     }
-    hdr.skip(b.size());
     packed_bytes += b.size();
   }
   if (packed_bytes > 0) {

@@ -14,13 +14,30 @@
 /// generates this from .ci files; here the entry-method templates drive it.
 ///
 /// Supported: trivially copyable values, std::vector of trivially copyable
-/// elements, and std::string. GPU buffers never flow through here — they are
-/// handled by the CkDeviceBuffer machinery (paper Section III-B).
+/// elements, std::string, and HostBytes runs. GPU buffers never flow through
+/// here — they are handled by the CkDeviceBuffer machinery (paper Section
+/// III-B).
 
 namespace cux::ck {
 
+/// A run of host bytes packed inline: a kind byte, a length word, then the
+/// bytes. A null `data` with a nonzero `size` is an *unbacked run*: its
+/// source holds no bytes in the simulation (cuda::HostStage without
+/// backing), so the kind byte says RunKind::Unbacked and nothing follows the
+/// length. Unpacked, `data` points into the message, or is null for an
+/// unbacked run.
+struct HostBytes {
+  const void* data = nullptr;
+  std::uint64_t size = 0;
+};
+
+/// Kind byte of a packed HostBytes run. Zero is left free: a Charm++ buffer
+/// header starts with the same byte, and zero marks a rendezvous buffer.
+enum class RunKind : std::uint8_t { Bytes = 1, Unbacked = 2 };
+
 template <class T>
-concept TriviallyPackable = std::is_trivially_copyable_v<T> && !std::is_pointer_v<T>;
+concept TriviallyPackable = std::is_trivially_copyable_v<T> && !std::is_pointer_v<T> &&
+                            !std::is_same_v<T, HostBytes>;
 
 template <class T>
 struct IsPupVector : std::false_type {};
@@ -29,7 +46,7 @@ struct IsPupVector<std::vector<T, A>> : std::bool_constant<TriviallyPackable<T>>
 
 template <class T>
 concept Packable = TriviallyPackable<T> || IsPupVector<T>::value ||
-                   std::is_same_v<T, std::string>;
+                   std::is_same_v<T, std::string> || std::is_same_v<T, HostBytes>;
 
 /// Bytes Packer::pack(v) appends for `v`, so a message can be sized before
 /// it is packed.
@@ -44,6 +61,9 @@ template <class T, class A>
 }
 [[nodiscard]] inline std::size_t packedSize(const std::string& s) noexcept {
   return sizeof(std::uint64_t) + s.size();
+}
+[[nodiscard]] inline std::size_t packedSize(const HostBytes& b) noexcept {
+  return 1 + sizeof(std::uint64_t) + (b.data != nullptr ? b.size : 0);
 }
 
 class Packer {
@@ -78,21 +98,43 @@ class Packer {
     bulk_bytes_ += n;
   }
 
+  void pack(const HostBytes& b) {
+    if (b.data == nullptr && b.size > 0) {
+      unbacked(b.size);
+      return;
+    }
+    pack(RunKind::Bytes);
+    pack(b.size);
+    raw(b.data, b.size);
+    bulk_bytes_ += b.size;
+  }
+
   void raw(const void* p, std::size_t n) {
     const auto* b = static_cast<const std::byte*>(p);
     buf_.insert(buf_.end(), b, b + n);
   }
 
-  /// Appends `n` zero bytes (placeholder for unbacked source data).
-  void zeros(std::size_t n) { buf_.resize(buf_.size() + n); }
+  /// Packs an unbacked run of `n` bytes: its kind byte and length word only.
+  /// The run still counts in logicalSize() and bulkBytes(), so the wire and
+  /// the modelled copies see the same bytes as for a backed source.
+  void unbacked(std::uint64_t n) {
+    pack(RunKind::Unbacked);
+    pack(n);
+    unbacked_bytes_ += n;
+    bulk_bytes_ += n;
+  }
 
   [[nodiscard]] std::vector<std::byte> take() noexcept { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  /// Bytes the message counts but does not carry (its unbacked runs):
+  /// size() plus these is the message's logical size, its length on the wire.
+  [[nodiscard]] std::uint64_t unbackedBytes() const noexcept { return unbacked_bytes_; }
   /// Bytes that correspond to bulk payload copies (for memcpy cost charging).
   [[nodiscard]] std::uint64_t bulkBytes() const noexcept { return bulk_bytes_; }
 
  private:
   std::vector<std::byte> buf_;
+  std::uint64_t unbacked_bytes_ = 0;
   std::uint64_t bulk_bytes_ = 0;
 };
 
@@ -120,6 +162,14 @@ class Unpacker {
         read(v.data(), n * sizeof(E));
         return v;
       }
+    } else if constexpr (std::is_same_v<T, HostBytes>) {
+      const auto kind = unpack<RunKind>();
+      const auto n = unpack<std::uint64_t>();
+      assert((kind == RunKind::Bytes || kind == RunKind::Unbacked) && "not a HostBytes run");
+      if (kind == RunKind::Unbacked) return HostBytes{nullptr, n};
+      const std::byte* b = cursor();
+      skip(n);
+      return HostBytes{b, n};
     } else {
       static_assert(std::is_same_v<T, std::string>, "type not packable");
       const auto n = unpack<std::uint64_t>();

@@ -14,18 +14,16 @@ struct Charm4py::PerPeChare : ck::Chare {
   explicit PerPeChare(Charm4py* o) : owner(o) {}
 
   void chanMsg(std::uint64_t chan, std::uint8_t dst_side, std::uint64_t bytes,
-               std::uint64_t dtag, std::uint32_t seq, std::uint8_t inlined,
-               std::vector<std::byte> data, std::uint8_t src_host,
-               std::uint8_t data_valid, std::uint64_t span) {
+               std::uint64_t dtag, std::uint32_t seq, std::uint8_t inlined, ck::HostBytes data,
+               std::uint8_t src_host, std::uint64_t span) {
     Envelope env;
     env.bytes = bytes;
     env.dtag = dtag;
     env.span = span;
     env.seq = seq;
     env.inlined = inlined != 0;
-    env.data = std::move(data);
+    env.data = owner->rt_.keepBytes(data);  // may wait for its receive
     env.src_host = src_host != 0;
-    env.data_valid = data_valid != 0;
     owner->onEnvelope(myPe(), chan, static_cast<int>(dst_side), std::move(env));
   }
 
@@ -118,6 +116,7 @@ void Charm4py::orphanEnvelope(int pe, Envelope& env) {
   obs::SpanCollector& spans = rt_.system().obs.spans;
   const std::uint64_t sp = env.inlined ? env.span : spans.spanForTag(env.dtag);
   spans.end(sp, rt_.system().engine.now(), obs::Phase::Errored, pe);
+  rt_.cmi().ucx().recycleBuffer(std::move(env.data));
 }
 
 Channel Charm4py::makeChannel(int pe_a, int pe_b) {
@@ -233,14 +232,13 @@ sim::Future<void> Charm4py::sendImpl(ChannelEnd& end, const void* buf, std::uint
         core::DeviceRecvType::Charm4py);
     chares_[static_cast<std::size_t>(peer->pe_)].sendFrom<&PerPeChare::chanMsg>(
         src_pe, end.chan_, static_cast<std::uint8_t>(dst_side), bytes, cdb.tag, seq,
-        std::uint8_t{0}, std::vector<std::byte>{},
-        static_cast<std::uint8_t>(device ? 0 : 1), std::uint8_t{1}, std::uint64_t{0});
+        std::uint8_t{0}, ck::HostBytes{}, static_cast<std::uint8_t>(device ? 0 : 1),
+        std::uint64_t{0});
   } else {
-    std::vector<std::byte> data(bytes);
-    const bool valid = rt_.system().memory.dereferenceable(buf);
-    if (valid && bytes > 0) std::memcpy(data.data(), buf, bytes);
-    // Inline messages bypass the machine layer: mint the span here and ship
-    // it inside the message (0 when observability is off).
+    // Inline: the payload is packed straight from `buf`, or as an unbacked
+    // run when `buf` holds no bytes. Inline messages bypass the machine
+    // layer: mint the span here and ship it inside the message (0 when
+    // observability is off).
     std::uint64_t span = 0;
     obs::SpanCollector& spans = rt_.system().obs.spans;
     if (spans.enabled()) {
@@ -250,8 +248,7 @@ sim::Future<void> Charm4py::sendImpl(ChannelEnd& end, const void* buf, std::uint
     }
     chares_[static_cast<std::size_t>(peer->pe_)].sendFrom<&PerPeChare::chanMsg>(
         src_pe, end.chan_, static_cast<std::uint8_t>(dst_side), bytes, std::uint64_t{0}, seq,
-        std::uint8_t{1}, std::move(data), std::uint8_t{1},
-        static_cast<std::uint8_t>(valid ? 1 : 0), span);
+        std::uint8_t{1}, rt_.hostBytes(buf, bytes), std::uint8_t{1}, span);
     pe.exec(0, [done] { done.set(); });
   }
   return done.future();
@@ -330,20 +327,18 @@ void Charm4py::onEnvelope(int pe, std::uint64_t chan, int side, Envelope env) {
 
 void Charm4py::matchOne(int pe, EndpointState& st, obs::Phase matched) {
   while (!st.arrived.empty() && !st.waiting.empty()) {
-    Envelope env = std::move(st.arrived.front());
-    st.arrived.pop_front();
-    PendingRecv p = std::move(st.waiting.front());
-    st.waiting.pop_front();
+    Envelope env = st.arrived.pop_front();
+    PendingRecv p = st.waiting.pop_front();
     assert(env.bytes <= p.capacity && "channel message larger than recv buffer");
 
     const model::LayerCosts& costs = rt_.costs();
     cmi::Pe& cpu = rt_.cmi().pe(pe);
     auto done = p.done;
     if (env.inlined) {
-      if (env.data_valid && !env.data.empty() &&
-          rt_.system().memory.dereferenceable(p.buf)) {
+      if (!env.data.empty() && rt_.system().memory.dereferenceable(p.buf)) {
         std::memcpy(p.buf, env.data.data(), env.data.size());
       }
+      rt_.cmi().ucx().recycleBuffer(std::move(env.data));
       const double py_copy_us =
           (static_cast<double>(env.bytes) / 1e3) / costs.py_host_copy_gbps;
       const sim::Duration d = sim::usec(costs.py_wakeup_us + py_copy_us);

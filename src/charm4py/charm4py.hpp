@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <cstring>
 #include <type_traits>
@@ -12,6 +11,7 @@
 #include "charm/charm.hpp"
 #include "hw/cuda.hpp"
 #include "obs/span.hpp"
+#include "sim/fifo.hpp"
 #include "sim/future.hpp"
 #include "sim/task.hpp"
 
@@ -156,9 +156,10 @@ class Charm4py {
     std::uint64_t span = 0;
     std::uint32_t seq = 0;
     bool inlined = false;
+    /// Payload of an inlined envelope, from the UCX eager pool; empty when
+    /// the source was unbacked (`bytes` still counts it).
     std::vector<std::byte> data;
     bool src_host = false;  ///< host payload: the receiver pays a Python copy
-    bool data_valid = true;
   };
   struct PendingRecv {
     void* buf = nullptr;
@@ -167,8 +168,8 @@ class Charm4py {
   };
   /// Per-direction endpoint state, keyed by (channel, receiving side).
   struct EndpointState {
-    std::deque<Envelope> arrived;      // in-order, ready to match
-    std::deque<PendingRecv> waiting;   // recvs posted before arrival
+    sim::Fifo<Envelope> arrived;       // in-order, ready to match
+    sim::Fifo<PendingRecv> waiting;    // recvs posted before arrival
     std::uint32_t seq_out = 0;         // next seq this side sends
     std::uint32_t seq_expected = 0;    // next in-order seq to accept
     std::vector<Envelope> out_of_order;
@@ -195,8 +196,8 @@ class Charm4py {
   /// envelopes.
   void onPeFailed(int pe);
   /// Discards a queued envelope of a dead channel: closes its span
-  /// (Errored) and counts it. The payload (device path) never lands — its
-  /// machine-layer receive was never posted.
+  /// (Errored), counts it and recycles an inline payload. The payload
+  /// (device path) never lands — its machine-layer receive was never posted.
   void orphanEnvelope(int pe, Envelope& env);
 
   ck::Runtime& rt_;

@@ -37,7 +37,8 @@ int Converse::registerHandler(HandlerFn fn) {
   return static_cast<int>(handlers_.size()) - 1;
 }
 
-void Converse::send(int src_pe, int dst_pe, int handler, std::vector<std::byte> raw) {
+void Converse::send(int src_pe, int dst_pe, int handler, std::vector<std::byte> raw,
+                    std::uint64_t unbacked) {
   assert(handler >= 0 && handler < static_cast<int>(handlers_.size()));
   assert(raw.size() >= Message::kHeaderBytes && "send() needs room for the header");
   const auto h32 = static_cast<std::uint32_t>(handler);
@@ -49,13 +50,13 @@ void Converse::send(int src_pe, int dst_pe, int handler, std::vector<std::byte> 
   // once the PE's preceding software work (including this call's cost) has
   // retired, so back-to-back sends stagger realistically.
   Pe& src = pe(src_pe);
-  sys_.trace.record(sys_.engine.now(), sim::TraceCat::CmiSend, src_pe, dst_pe, raw.size(),
-                    static_cast<std::uint64_t>(handler), "");
+  sys_.trace.record(sys_.engine.now(), sim::TraceCat::CmiSend, src_pe, dst_pe,
+                    raw.size() + unbacked, static_cast<std::uint64_t>(handler), "");
   src.charge(sim::usec(costs_.cmi_send_us));
   const ucx::Tag tag =
       tags_.make(core::MsgType::Host, static_cast<std::uint64_t>(src_pe), 0);
-  inject(src_pe, [this, src_pe, dst_pe, tag, raw = std::move(raw)]() mutable {
-    ucx_.amSend(src_pe, dst_pe, tag, std::move(raw));
+  inject(src_pe, [this, src_pe, dst_pe, tag, unbacked, raw = std::move(raw)]() mutable {
+    ucx_.amSend(src_pe, dst_pe, tag, std::move(raw), {}, unbacked);
   });
 }
 
@@ -80,7 +81,6 @@ void Converse::runOn(int pe_id, PeFn fn, sim::Duration overhead) {
 
 void Converse::onHostMessage(int dst_pe, ucx::Delivery d) {
   Message msg;
-  msg.payload_valid = d.payload_valid;
   msg.raw = std::move(d.payload);
   if (msg.raw.size() < Message::kHeaderBytes) return;  // malformed; drop
   std::uint32_t handler = 0;
@@ -89,8 +89,8 @@ void Converse::onHostMessage(int dst_pe, ucx::Delivery d) {
   std::memcpy(&src, msg.raw.data() + 4, 4);
   msg.src_pe = static_cast<int>(src);
   assert(handler < handlers_.size());
-  sys_.trace.record(sys_.engine.now(), sim::TraceCat::CmiSched, dst_pe, msg.src_pe,
-                    msg.raw.size(), handler, "");
+  sys_.trace.record(sys_.engine.now(), sim::TraceCat::CmiSched, dst_pe, msg.src_pe, d.len,
+                    handler, "");
   HandlerFn& fn = handlers_[handler];
   if (costs_.smp_comm_thread) {
     // SMP build: the node's comm thread picks messages off the network and

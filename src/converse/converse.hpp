@@ -23,11 +23,11 @@
 
 namespace cux::cmi {
 
-/// A received Converse message. `payload_valid` is false when the sending
-/// side's payload lived in unbacked (simulation-only) memory.
+/// A received Converse message. Payload bytes whose source was unbacked
+/// (simulation-only) memory are not in `raw`: the packed form marks them as
+/// ck::HostBytes unbacked runs.
 struct Message {
   int src_pe = -1;
-  bool payload_valid = true;
   std::vector<std::byte> raw;  ///< header + payload
 
   [[nodiscard]] std::span<const std::byte> payload() const noexcept {
@@ -63,9 +63,13 @@ class Converse {
   /// Sends `raw` from `src_pe` to handler `handler` on `dst_pe`
   /// (CmiSyncSendAndFree). `raw` starts with Message::kHeaderBytes of room
   /// that send() fills with the header, so the payload is never copied to
-  /// prepend it. The sender PE is charged the Converse send cost; delivery
-  /// charges the scheduler-pickup cost on the destination PE.
-  void send(int src_pe, int dst_pe, int handler, std::vector<std::byte> raw);
+  /// prepend it. `unbacked` counts bytes the message stands for but does not
+  /// carry (ck::Packer unbacked runs): they count in the logical length that
+  /// UCX and the trace see, and no layer moves them. The sender PE is
+  /// charged the Converse send cost; delivery charges the scheduler-pickup
+  /// cost on the destination PE.
+  void send(int src_pe, int dst_pe, int handler, std::vector<std::byte> raw,
+            std::uint64_t unbacked = 0);
 
   /// Runs `fn` on `pe` as if a local message had been scheduled (used to
   /// bootstrap programs and to serialise completion callbacks onto PEs).

@@ -144,20 +144,12 @@ void Stream::enqueue(Op op) {
 }
 
 void Stream::kick() {
-  if (head_ == ops_.size()) {
-    ops_.clear();
-    head_ = 0;
+  if (ops_.empty()) {
     busy_ = false;
     return;
   }
   busy_ = true;
-  Op op = std::move(ops_[head_++]);
-  if (head_ >= 64 && 2 * head_ >= ops_.size()) {
-    // A stream that never drains still reuses its storage: drop the
-    // consumed prefix once it is at least half of the queue.
-    ops_.erase(ops_.begin(), ops_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
+  Op op = ops_.pop_front();
   const hw::MachineConfig& cfg = sys_.config;
   sim::TimePoint finish = sys_.engine.now();
   switch (op.kind) {

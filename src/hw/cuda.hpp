@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "hw/system.hpp"
+#include "sim/fifo.hpp"
 #include "sim/future.hpp"
 #include "sim/time.hpp"
 
@@ -160,8 +161,7 @@ class Stream {
 
   hw::System& sys_;
   int device_;
-  std::vector<Op> ops_;  ///< pending ops; ops_[head_] runs next
-  std::size_t head_ = 0;
+  sim::Fifo<Op> ops_;  ///< pending ops
   bool busy_ = false;
 };
 

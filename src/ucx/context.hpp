@@ -48,10 +48,13 @@ class Context {
                      CompletionFn cb);
 
   /// Active-message-style send whose payload is an owned byte vector
-  /// (Converse host messages). Timing matches tagSend on host memory of the
-  /// same size; the payload vector is handed to the receiving handler.
+  /// (Converse host messages). Its logical length is payload.size() plus
+  /// `unbacked`, bytes the message stands for but does not carry. Protocol
+  /// choice, wire time, bytesSent() and the delivered `len` use the logical
+  /// length, so timing matches tagSend on host memory of that size; the
+  /// payload vector is handed to the receiving handler.
   RequestPtr amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byte> payload,
-                    CompletionFn cb = {});
+                    CompletionFn cb = {}, std::uint64_t unbacked = 0);
 
   /// Like tagSend, but a device-memory source is first staged to the host
   /// (cudaMemcpy D2H through the GPU egress link) and then sent as a host

@@ -307,16 +307,16 @@ RequestPtr Context::tagSendHostStaged(int src_pe, int dst_pe, const void* buf, s
 }
 
 RequestPtr Context::amSend(int src_pe, int dst_pe, Tag tag, std::vector<std::byte> payload,
-                           CompletionFn cb) {
+                           CompletionFn cb, std::uint64_t unbacked) {
+  const std::uint64_t len = payload.size() + unbacked;
   auto req = makeRequest();
   req->peer_pe = dst_pe;
-  req->bytes = payload.size();
+  req->bytes = len;
   req->matched_tag = tag;
   req->on_complete = std::move(cb);
   ++sends_started_;
-  bytes_sent_ += payload.size();
+  bytes_sent_ += len;
 
-  const std::uint64_t len = payload.size();
   sim::Engine& engine = sys_.engine;
   Worker& dst = worker(dst_pe);
 
@@ -1162,6 +1162,8 @@ void Worker::deliverToHandler(HandlerFn& fn, Incoming msg) {
   // Rendezvous into a handler: the payload is copied once, into the
   // Delivery's own host buffer, when the data has arrived. rndvTransfer only
   // classifies the destination, and nullptr classifies as host memory too.
+  // An amSend payload copies only the bytes its vector holds; `len` also
+  // counts its unbacked bytes.
   const bool src_deref = ctx.system().memory.dereferenceable(msg.src_ptr);
   const Tag tag = msg.tag;
   const int src_pe = msg.src_pe;
@@ -1174,7 +1176,11 @@ void Worker::deliverToHandler(HandlerFn& fn, Incoming msg) {
   engine.schedule(done, [fp, src_deref, src, len, tag, src_pe,
                          owner = std::move(msg.payload_owner)] {
     Delivery d;
-    if (src_deref) d.payload.assign(src, src + len);
+    if (owner) {
+      d.payload = *owner;
+    } else if (src_deref) {
+      d.payload.assign(src, src + len);
+    }
     d.payload_valid = src_deref;
     d.tag = tag;
     d.src_pe = src_pe;

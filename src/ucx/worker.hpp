@@ -46,7 +46,8 @@ class Context;
 
 /// Persistent receive handler: owns the payload.
 /// Unbacked payloads (simulated-only transfers) arrive as empty vectors with
-/// `payload_valid == false`.
+/// `payload_valid == false`. `len` is the logical length: an amSend payload
+/// holds `len` minus its unbacked bytes.
 struct Delivery {
   std::vector<std::byte> payload;
   bool payload_valid = true;
@@ -176,7 +177,7 @@ class Worker {
   /// in-flight message instead of a per-worker ever-growing seen-set.
   struct Incoming {
     Tag tag = 0;
-    std::uint64_t len = 0;
+    std::uint64_t len = 0;           ///< logical length (amSend: unbacked bytes included)
     const void* src_ptr = nullptr;   ///< rendezvous: payload still at the sender
     std::vector<std::byte> payload;  ///< eager: payload travelled with the header
     RequestPtr send_req;             ///< rendezvous: sender-side request and its completion

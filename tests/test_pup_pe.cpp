@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -60,12 +61,34 @@ TEST(Pup, BulkBytesTracksPayloadCopies) {
   EXPECT_EQ(p.bulkBytes(), 1050u);
 }
 
-TEST(Pup, ZerosAppendsPlaceholder) {
+TEST(Pup, UnbackedRunRoundTrip) {
+  const std::vector<std::byte> backed{std::byte{1}, std::byte{2}, std::byte{3}};
   ck::Packer p;
-  p.zeros(16);
+  p.pack(7);
+  p.pack(ck::HostBytes{nullptr, 4096});  // unbacked: kind byte and length word only
+  p.pack(ck::HostBytes{backed.data(), backed.size()});
+  p.pack(ck::HostBytes{});
+  p.pack(9);
+  constexpr std::size_t kRunHeader = 1 + sizeof(std::uint64_t);
+  EXPECT_EQ(ck::packedSize(ck::HostBytes{nullptr, 4096}), kRunHeader);
+  EXPECT_EQ(p.size(), 2 * sizeof(int) + 3 * kRunHeader + backed.size());
+  EXPECT_EQ(p.unbackedBytes(), 4096u);
+  EXPECT_EQ(p.bulkBytes(), 4096u + backed.size());  // unbacked runs are charged alike
   const auto bytes = p.take();
-  ASSERT_EQ(bytes.size(), 16u);
-  for (auto b : bytes) EXPECT_EQ(b, std::byte{0});
+  ck::Unpacker u(bytes);
+  EXPECT_EQ(u.unpack<int>(), 7);
+  const auto run = u.unpack<ck::HostBytes>();
+  EXPECT_EQ(run.data, nullptr);
+  EXPECT_EQ(run.size, 4096u);
+  const auto got = u.unpack<ck::HostBytes>();
+  ASSERT_EQ(got.size, backed.size());
+  ASSERT_NE(got.data, nullptr);
+  EXPECT_EQ(std::memcmp(got.data, backed.data(), backed.size()), 0);
+  const auto empty = u.unpack<ck::HostBytes>();
+  EXPECT_EQ(empty.size, 0u);
+  EXPECT_NE(empty.data, nullptr);  // a backed run of length zero
+  EXPECT_EQ(u.unpack<int>(), 9);
+  EXPECT_EQ(u.remaining(), 0u);
 }
 
 TEST(Pup, UnpackerOffsetAndSkip) {
